@@ -51,7 +51,7 @@ fn bench_sssp_kernels(c: &mut Criterion) {
             let mut scratch = SsspScratch::new();
             b.iter(|| {
                 for &s in &servers {
-                    black_box(csr.sssp_bucket_into(s, &mut scratch));
+                    black_box(csr.sssp_into(s, &mut scratch));
                 }
             });
         });

@@ -19,17 +19,20 @@
 //!   not hold.
 //! - **[`StandbyCore`]** (standby side): receives shipped lines
 //!   idempotently (re-ships of already-held lines are acknowledged, a
-//!   gap is a typed error), verifies each parses as a journal record,
-//!   appends them verbatim to its own journal (one fsync per batch),
-//!   and eagerly maintains a live [`tacc_runtime::Runtime`] replica so
-//!   promotion is near-instant.
+//!   gap is a typed error), CRC-verifies each line and checks that the
+//!   batch continues the journal's record order, then appends it
+//!   verbatim to its own journal (one fsync per batch). It keeps no
+//!   runtime: the journal copy and its line cursor are all it holds
+//!   until promotion.
 //! - **[`HaHooks`]**: the [`tacc_serve::ServerHooks`] implementation
 //!   wiring both into the daemon. On the standby it intercepts
 //!   `Replicate` and `Promote`; `Promote` rebuilds a full
-//!   [`tacc_serve::Session`] through the *same* journal-recovery path
-//!   `--recover` uses — which restores the push seq-dedup record, so a
-//!   burst the dead primary acked and a failing-over client re-sends
-//!   is answered from the record instead of applied twice.
+//!   [`tacc_serve::Session`] through [`tacc_serve::Session::recover`],
+//!   the one path that replays a session journal into a runtime and
+//!   the one `--recover` uses. Promotion therefore costs one recovery.
+//!   Recovery restores the push seq-dedup record, so a burst the dead
+//!   primary acked and a failing-over client re-sends is answered from
+//!   the record instead of applied twice.
 //!
 //! Failover is driven from the client side:
 //! [`tacc_serve::Client::connect_failover`] holds the address list,

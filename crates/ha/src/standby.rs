@@ -2,22 +2,20 @@
 
 use std::path::PathBuf;
 
-use tacc_chaos::{journal_line_count, parse_journal_line, Journal, JournalRecord};
-use tacc_runtime::{Runtime, RuntimeConfig};
+use tacc_chaos::{parse_journal_line, Journal, JournalRecord};
 use tacc_serve::{ServeConfig, ServeError, Session};
-use tacc_workload::Trace;
 
 use crate::failpoint;
 
-/// The standby's replication state: a verbatim copy of the primary's
-/// journal (fsync'd batch by batch) plus an eagerly-maintained live
-/// [`Runtime`] replica.
+/// The standby's replication state: a verbatim, CRC-verified copy of
+/// the primary's journal (fsync'd batch by batch) and its line cursor.
 ///
-/// The journal copy is the source of truth — [`StandbyCore::promote`]
+/// The journal copy is the only state — [`StandbyCore::promote`]
 /// rebuilds the serving [`Session`] from it through the same
 /// [`Session::recover`] path a `--recover` restart uses, so a promoted
-/// standby is byte-identical to a recovered primary. The live replica
-/// exists to keep promotion cheap and to cross-check the recovery.
+/// standby is byte-identical to a recovered primary. Nothing is
+/// replayed before promotion; shipped records are only checked for the
+/// order recovery relies on.
 #[derive(Debug)]
 pub struct StandbyCore {
     cfg: ServeConfig,
@@ -27,49 +25,45 @@ pub struct StandbyCore {
     journal: Option<Journal>,
     /// Durable journal lines held (the replication cursor).
     lines: u64,
-    replica: Replica,
+    /// The record order of the held lines.
+    order: RecordOrder,
 }
 
-/// The live runtime replica, built incrementally from shipped records.
-#[derive(Debug, Default)]
-struct Replica {
-    config: Option<RuntimeConfig>,
-    trace: Option<Trace>,
-    runtime: Option<Runtime>,
+/// How far the held records have come in the order a session journal
+/// must follow: `Begin`, then `SessionScenario`, then `Event`s with
+/// contiguous indices from zero.
+#[derive(Debug, Default, Clone, Copy)]
+struct RecordOrder {
+    begun: bool,
+    scenario: bool,
+    /// `Event` records held — the cursor a recovery replays to.
+    events: u64,
 }
 
-impl Replica {
-    /// Applies one shipped record. `Begin` carries the runtime config,
-    /// `SessionScenario` materializes the runtime, each `Event` steps it
-    /// eagerly; `Step`/`Snapshot`/`Recovered`/`SeqAck` are bookkeeping
-    /// the recovery path consumes — the live replica ignores them.
-    fn apply(&mut self, record: JournalRecord) -> Result<(), ServeError> {
+impl RecordOrder {
+    /// Admits one record after those already held, or says why it is
+    /// out of order. `Step`/`Snapshot`/`Recovered`/`SeqAck` are
+    /// bookkeeping the recovery path consumes in any position.
+    fn admit(&mut self, record: &JournalRecord) -> Result<(), String> {
         match record {
-            JournalRecord::Begin { config, .. } => self.config = Some(config),
-            JournalRecord::SessionScenario { scenario } => {
-                let Some(config) = self.config.clone() else {
-                    return Err(ServeError::state("SessionScenario shipped before Begin"));
-                };
-                let trace = Trace { version: Trace::FORMAT_VERSION, scenario, events: Vec::new() };
-                let runtime = Runtime::from_trace(&trace, config)
-                    .map_err(|e| ServeError::state(e.to_string()))?;
-                self.trace = Some(trace);
-                self.runtime = Some(runtime);
-            }
-            JournalRecord::Event { index, timed } => {
-                let (Some(trace), Some(runtime)) = (self.trace.as_mut(), self.runtime.as_mut())
-                else {
-                    return Err(ServeError::state("Event shipped before SessionScenario"));
-                };
-                if index as usize != trace.events.len() {
-                    return Err(ServeError::state(format!(
-                        "replicated event {index} arrived at position {}",
-                        trace.events.len()
-                    )));
+            JournalRecord::Begin { .. } => self.begun = true,
+            JournalRecord::SessionScenario { .. } => {
+                if !self.begun {
+                    return Err("SessionScenario shipped before Begin".to_owned());
                 }
-                trace.events.push(timed);
-                let i = trace.events.len() - 1;
-                runtime.step(i, &trace.events[i]).map_err(|e| ServeError::state(e.to_string()))?;
+                self.scenario = true;
+            }
+            JournalRecord::Event { index, .. } => {
+                if !self.scenario {
+                    return Err("Event shipped before SessionScenario".to_owned());
+                }
+                if *index != self.events {
+                    return Err(format!(
+                        "replicated event {index} arrived at position {}",
+                        self.events
+                    ));
+                }
+                self.events += 1;
             }
             JournalRecord::Step { .. }
             | JournalRecord::Snapshot { .. }
@@ -77,6 +71,14 @@ impl Replica {
             | JournalRecord::SeqAck { .. } => {}
         }
         Ok(())
+    }
+
+    /// The order after `lines`, each CRC-verified and admitted in turn.
+    fn after<'l>(mut self, lines: impl IntoIterator<Item = &'l str>) -> Result<Self, String> {
+        for line in lines {
+            self.admit(&parse_journal_line(line)?)?;
+        }
+        Ok(self)
     }
 }
 
@@ -99,7 +101,7 @@ impl StandbyCore {
             path,
             journal: Some(journal),
             lines: 0,
-            replica: Replica::default(),
+            order: RecordOrder::default(),
         })
     }
 
@@ -109,28 +111,18 @@ impl StandbyCore {
         self.lines
     }
 
-    /// The live replica's applied-event cursor (`None` until the
-    /// scenario has been shipped).
-    pub fn replica_cursor(&self) -> Option<u64> {
-        self.replica.runtime.as_ref().map(Runtime::cursor)
-    }
-
     /// Re-opens the journal copy after an apply error: heals any torn
-    /// tail the failure left, recounts the durable lines, and rebuilds
-    /// the live replica from the file so memory and disk agree again.
+    /// tail the failure left, then recounts the durable lines and their
+    /// record order from the file so memory and disk agree again.
     fn resync(&mut self) -> Result<(), ServeError> {
         let journal =
             Journal::open_append(&self.path).map_err(|e| ServeError::state(e.to_string()))?;
-        self.lines =
-            journal_line_count(&self.path).map_err(|e| ServeError::state(e.to_string()))?;
-        let mut replica = Replica::default();
         let text = std::fs::read_to_string(&self.path)
             .map_err(|e| ServeError::io("re-reading the standby journal", &e))?;
-        for line in text.lines().filter(|l| !l.is_empty()) {
-            let record = parse_journal_line(line).map_err(ServeError::state)?;
-            replica.apply(record)?;
-        }
-        self.replica = replica;
+        let held: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
+        self.order =
+            RecordOrder::default().after(held.iter().copied()).map_err(ServeError::state)?;
+        self.lines = held.len() as u64;
         self.journal = Some(journal);
         Ok(())
     }
@@ -140,17 +132,21 @@ impl StandbyCore {
     /// lines from there on. Idempotent under re-ship — lines already
     /// held are skipped and the current cursor acknowledged — while a
     /// gap (`base` beyond the held count) is a typed error, never a
-    /// silent hole. Every fresh line must parse as a journal record
-    /// before anything is written; the batch is fsync'd once.
+    /// silent hole. Before anything is written, every fresh line must
+    /// CRC-verify and the batch must continue the held record order
+    /// (`Begin` before `SessionScenario` before `Event`, contiguous
+    /// `Event` indices); the batch is then fsync'd once.
     ///
     /// Returns the new durable line count (the `ReplicaAck` cursor).
     ///
     /// # Errors
     ///
-    /// [`ServeError::State`] on gaps, unparseable lines or filesystem
-    /// failures; [`ServeError::Io`] when the `repl.apply` failpoint
-    /// fires. After an error the journal handle is dropped and the next
-    /// apply resynchronizes from the durable file.
+    /// [`ServeError::State`] on gaps, damaged or out-of-order lines, or
+    /// filesystem failures; [`ServeError::Io`] when the `repl.apply`
+    /// failpoint fires. A refused batch leaves the held copy untouched,
+    /// so a re-ship is refused the same way. After a gap or filesystem
+    /// error the journal handle is dropped and the next apply
+    /// resynchronizes from the durable file.
     pub fn apply(&mut self, base: u64, lines: &[String]) -> Result<u64, ServeError> {
         failpoint("repl.apply")?;
         if self.journal.is_none() {
@@ -168,25 +164,15 @@ impl StandbyCore {
             return Ok(self.lines);
         }
         let fresh = &lines[already..];
-        let mut records = Vec::with_capacity(fresh.len());
-        for line in fresh {
-            match parse_journal_line(line) {
-                Ok(record) => records.push(record),
-                Err(e) => {
-                    return Err(ServeError::state(format!(
-                        "refusing to replicate an unparseable journal line: {e}"
-                    )));
-                }
-            }
-        }
+        let order = self.order.after(fresh.iter().map(String::as_str)).map_err(|e| {
+            ServeError::state(format!("refusing to replicate a journal batch: {e}"))
+        })?;
         let journal = self.journal.as_mut().expect("resynced above");
         if let Err(e) = journal.append_raw_lines(fresh) {
             self.journal = None;
             return Err(ServeError::state(e.to_string()));
         }
-        for record in records {
-            self.replica.apply(record)?;
-        }
+        self.order = order;
         self.lines += fresh.len() as u64;
         tacc_obs::counter_add("ha.replicated", fresh.len() as u64);
         Ok(self.lines)
@@ -196,7 +182,8 @@ impl StandbyCore {
     /// journal copy through [`Session::recover`] — the same path a
     /// `--recover` restart takes, so the promoted state (and the push
     /// seq-dedup record) is byte-identical to a recovered primary — and
-    /// cross-checks it against the live replica's cursor.
+    /// cross-checks the recovered cursor against the `Event` records
+    /// held.
     ///
     /// # Errors
     ///
@@ -208,13 +195,12 @@ impl StandbyCore {
         // Recovery re-opens the file itself; drop our append handle.
         self.journal = None;
         let session = Session::recover(&self.cfg)?;
-        if let Some(cursor) = self.replica_cursor() {
-            if session.cursor() != cursor {
-                return Err(ServeError::state(format!(
-                    "promotion recovered cursor {} but the live replica sits at {cursor}",
-                    session.cursor()
-                )));
-            }
+        if session.cursor() != self.order.events {
+            return Err(ServeError::state(format!(
+                "promotion recovered cursor {} but the standby holds {} events",
+                session.cursor(),
+                self.order.events
+            )));
         }
         tacc_obs::counter_add("ha.failovers", 1);
         Ok(session)

@@ -6,10 +6,11 @@
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
+use tacc_chaos::{Journal, JournalRecord};
 use tacc_ha::{JournalTail, StandbyCore};
 use tacc_proto::Response;
 use tacc_runtime::RuntimeConfig;
-use tacc_serve::{ServeConfig, Session};
+use tacc_serve::{ServeConfig, ServeError, Session};
 use tacc_workload::{TopologyFamily, Trace, TraceGenerator, TraceScenario};
 
 fn temp_dir(name: &str) -> PathBuf {
@@ -121,6 +122,74 @@ fn duplicate_reships_are_idempotent_and_gaps_are_typed() {
     // A gap is refused loudly, never papered over.
     let err = standby.apply(acked + 5, &lines).unwrap_err();
     assert!(err.to_string().contains("gap"), "gap must be a typed error, got: {err}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// CRC-valid journal lines for `records`, framed by a real journal
+/// writer on a scratch file.
+fn framed_lines(path: &Path, records: &[JournalRecord]) -> Vec<String> {
+    let mut journal = Journal::create_raw(path).unwrap();
+    journal.append_batch(records).unwrap();
+    drop(journal);
+    std::fs::read_to_string(path).unwrap().lines().map(str::to_owned).collect()
+}
+
+/// Ships `batch` twice (a refusal, then its re-ship) and asserts each
+/// is refused typed with the cursor and the standby file untouched.
+fn assert_refused(standby: &mut StandbyCore, file: &Path, base: u64, batch: &[String]) {
+    let (lines, bytes) = (standby.lines(), std::fs::read(file).unwrap());
+    for attempt in 0..2 {
+        let err = standby.apply(base, batch).unwrap_err();
+        assert!(matches!(err, ServeError::State { .. }), "attempt {attempt}: got {err:?}");
+        assert_eq!(standby.lines(), lines, "attempt {attempt}: the cursor moved");
+        let now = std::fs::read(file).unwrap();
+        let count = |b: &[u8]| b.iter().filter(|&&c| c == b'\n').count();
+        assert!(
+            now == bytes,
+            "attempt {attempt}: the file went from {} to {} lines",
+            count(&bytes),
+            count(&now)
+        );
+    }
+}
+
+#[test]
+fn out_of_order_batches_are_refused_before_they_are_written() {
+    let dir = temp_dir("order");
+    let trace = scripted_trace(TopologyFamily::RandomGeometric, 77);
+    let journal = dir.join("primary.jsonl");
+    let standby_journal = dir.join("standby.jsonl");
+    let cfg = ServeConfig { journal: Some(journal.clone()), ..ServeConfig::default() };
+    let standby_cfg =
+        ServeConfig { journal: Some(standby_journal.clone()), ..ServeConfig::default() };
+
+    let mut primary = Session::start(shell(&trace), RuntimeConfig::default(), &cfg).unwrap();
+    primary.push(trace.events.clone(), 5).unwrap();
+    primary.flush().unwrap();
+    let primary_snapshot = primary.snapshot_json().unwrap();
+    let lines = JournalTail::new(&journal).poll().unwrap();
+    let event = |index: usize| JournalRecord::Event {
+        index: index as u64,
+        timed: trace.events[index].clone(),
+    };
+
+    // An Event before the SessionScenario.
+    let mut standby = StandbyCore::new(&standby_cfg).unwrap();
+    let mut early = vec![lines[0].clone()];
+    early.extend(framed_lines(&dir.join("early.jsonl"), &[event(0)]));
+    early.push(lines[1].clone());
+    assert_refused(&mut standby, &standby_journal, 0, &early);
+
+    // A skipped Event index behind a valid one: the whole batch goes.
+    assert_eq!(standby.apply(0, &lines[..2]).unwrap(), 2);
+    let skipped = framed_lines(&dir.join("skipped.jsonl"), &[event(0), event(2)]);
+    assert_refused(&mut standby, &standby_journal, 2, &skipped);
+
+    // The correct batch still applies and promotes byte-identically.
+    assert_eq!(standby.apply(2, &lines[2..]).unwrap(), lines.len() as u64);
+    assert_eq!(std::fs::read(&standby_journal).unwrap(), std::fs::read(&journal).unwrap());
+    let mut promoted = standby.promote().unwrap();
+    assert_eq!(promoted.snapshot_json().unwrap(), primary_snapshot);
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -6,7 +6,7 @@
 //! ```text
 //! ┌────────────┬───────────────────────────────────────────┐
 //! │ 4 bytes BE │ payload: one JSON document, UTF-8          │
-//! │ payload len│ {"v":1,"id":N,"request":{...}}             │
+//! │ payload len│ {"v":3,"id":N,"request":{...}}             │
 //! └────────────┴───────────────────────────────────────────┘
 //! ```
 //!
@@ -14,36 +14,32 @@
 //! carrying the protocol version `v`, a client-chosen correlation `id`
 //! (echoed verbatim in the response), and the message body. The version
 //! is *peeked* from the parsed JSON before the body is shape-checked, so
-//! a frame from a future protocol is answered with a typed
+//! a frame from any other protocol version is answered with a typed
 //! [`ProtoError::UnsupportedVersion`] instead of a misleading
 //! deserialization failure — the same peek-then-parse idiom the snapshot
 //! format uses.
 //!
 //! Compatibility rules (see `DESIGN.md` § Control plane):
 //!
+//! - this build reads exactly one version, [`PROTOCOL_VERSION`]; there
+//!   is no upgrade path for older shapes, and every other `v` is
+//!   rejected before the body is parsed;
 //! - adding a *new* [`Request`]/[`Response`] variant is backward
 //!   compatible (old peers answer `Malformed` to messages they do not
 //!   know, new peers keep reading old ones);
 //! - renaming or re-shaping an existing variant requires bumping
-//!   [`PROTOCOL_VERSION`] *and* teaching the decoder to upgrade the old
-//!   shape — this build reads every version in
-//!   [`MIN_PROTOCOL_VERSION`]`..=`[`PROTOCOL_VERSION`], filling
-//!   version-2 fields (`Push.seq`, `Overloaded.retry_after_ms` /
-//!   `Overloaded.brownout`) with their conservative defaults when a v1
-//!   peer omits them;
+//!   [`PROTOCOL_VERSION`], which cuts off peers built before the bump;
 //! - frames larger than [`MAX_FRAME_LEN`] are rejected before
 //!   allocation, so a hostile length prefix cannot balloon memory.
 //!
-//! Version history: **v1** (PR 6) the original vocabulary; **v2** adds
+//! Version history: **v1** the original vocabulary; **v2** adds
 //! backpressure metadata — `Push` carries an idempotency sequence number
 //! and `Overloaded` carries a deterministic `retry_after_ms` hint plus
 //! the daemon's brownout level, so a shed client knows *why* and *when
 //! to come back*; **v3** adds the high-availability vocabulary — the
 //! primary ships journal lines to a standby with `Replicate` /
 //! `ReplicaAck`, and `Promote` / `Promoted` turn a standby into the
-//! primary. The v3 additions are pure new variants, so v1 and v2 peers
-//! are untouched by the upgrade shim — their payloads decode exactly as
-//! before.
+//! primary. v1 and v2 peers were never deployed and are rejected.
 //!
 //! Everything here is pure data + framing; the daemon logic lives in
 //! `tacc-serve`.
@@ -61,12 +57,7 @@ pub use message::{
     Request, RequestFrame, Response, ResponseFrame,
 };
 
-/// The wire-protocol version this build writes. Peers reject versions
-/// outside [`MIN_PROTOCOL_VERSION`]`..=PROTOCOL_VERSION` with
+/// The wire-protocol version this build writes and the only one it
+/// reads; peers speaking any other version get
 /// [`ProtoError::UnsupportedVersion`].
 pub const PROTOCOL_VERSION: u32 = 3;
-
-/// The oldest wire-protocol version this build still reads; v1 payloads
-/// are upgraded in place (missing v2 fields take their documented
-/// defaults) before the typed parse.
-pub const MIN_PROTOCOL_VERSION: u32 = 1;

@@ -321,7 +321,7 @@ impl Session {
     /// acknowledgement — no re-journal, no duplicate events — so a
     /// client that lost the ack to a timeout can retry blindly.
     /// Rejections are never recorded, so a shed sequence number retries
-    /// into real admission. `seq == 0` means unsequenced (v1 behavior).
+    /// into real admission. `seq == 0` means unsequenced: never deduplicated.
     ///
     /// Every admission decision feeds the [`SurgeController`]; under
     /// deep brownout (L2+) a burst carrying no top-tier device faces a

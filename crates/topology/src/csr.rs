@@ -247,22 +247,6 @@ impl CsrGraph {
         &scratch.dist
     }
 
-    /// The bucket-queue (Dial/delta-stepping) kernel. Falls back to the
-    /// heap when the weight range is pathological (no finite positive
-    /// cost), mirroring [`CsrGraph::sssp_into`]'s dispatch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `source` is not a node of the snapshot.
-    pub fn sssp_bucket_into<'a>(&self, source: NodeId, scratch: &'a mut SsspScratch) -> &'a [f64] {
-        if self.bucket_delta > 0.0 {
-            self.run_buckets(source, scratch);
-            &scratch.dist
-        } else {
-            self.sssp_heap_into(source, scratch)
-        }
-    }
-
     /// The distance kernel [`CsrGraph::sssp_into`] dispatches to:
     /// `"bucket"` when the cost distribution admits integer bucketing,
     /// `"heap"` for the pathological fallback (all costs zero, or no
@@ -535,7 +519,7 @@ mod tests {
         for s in 0..g.node_count() {
             let source = NodeId(s as u32);
             let heap = csr.sssp_heap_into(source, &mut heap_scratch).to_vec();
-            let bucket = csr.sssp_bucket_into(source, &mut bucket_scratch);
+            let bucket = csr.sssp_into(source, &mut bucket_scratch);
             for (v, (a, b)) in bucket.iter().zip(&heap).enumerate() {
                 assert!(a.to_bits() == b.to_bits(), "source {s}, node {v}: bucket {a} vs heap {b}");
             }
@@ -547,9 +531,9 @@ mod tests {
         let g = gnarly();
         let csr = CsrGraph::from_graph(&g, |l| l.latency_ms());
         let mut reused = SsspScratch::new();
-        let first = csr.sssp_bucket_into(NodeId(0), &mut reused).to_vec();
-        let _ = csr.sssp_bucket_into(NodeId(4), &mut reused);
-        let again = csr.sssp_bucket_into(NodeId(0), &mut reused).to_vec();
+        let first = csr.sssp_into(NodeId(0), &mut reused).to_vec();
+        let _ = csr.sssp_into(NodeId(4), &mut reused);
+        let again = csr.sssp_into(NodeId(0), &mut reused).to_vec();
         assert_eq!(first, again);
     }
 
@@ -595,7 +579,7 @@ mod tests {
         let csr = CsrGraph::from_link_costs(&g, &costs);
         assert_eq!(csr.kernel_name(), "bucket");
         let mut scratch = SsspScratch::new();
-        let bucket = csr.sssp_bucket_into(NodeId(0), &mut scratch).to_vec();
+        let bucket = csr.sssp_into(NodeId(0), &mut scratch).to_vec();
         let heap = csr.sssp_heap_into(NodeId(0), &mut scratch).to_vec();
         assert_eq!(
             bucket.iter().map(|d| d.to_bits()).collect::<Vec<_>>(),

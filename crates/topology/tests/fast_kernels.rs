@@ -72,7 +72,7 @@ proptest! {
         for (source, _) in topo.graph().nodes() {
             let v = source.index();
             let reference = csr.sssp_heap_into(source, &mut heap_scratch).to_vec();
-            let dist = csr.sssp_bucket_into(source, &mut bucket_scratch);
+            let dist = csr.sssp_into(source, &mut bucket_scratch);
             for (node, (&d, &r)) in dist.iter().zip(&reference).enumerate() {
                 prop_assert!(
                     d.to_bits() == r.to_bits(),
