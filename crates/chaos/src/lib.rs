@@ -10,15 +10,16 @@
 //!    capacity crunches, burst churn, and full network partitions that
 //!    take down the *last* alive server. Emitted as ordinary format-v1
 //!    traces, so nothing downstream needs a special case.
-//! 2. **Crash-recovery journaling** ([`Journal`], [`recover`]): an
-//!    append-only, per-record-fsync'd JSONL journal of a replay, every
-//!    record wrapped in a CRC-32 frame (one format,
-//!    [`JOURNAL_VERSION`]; plain lines and other versions are typed
-//!    errors), with periodic full snapshots, from which a hard-killed
-//!    run recovers. Strict recovery tolerates
-//!    exactly the torn final line a mid-write kill leaves; lenient
-//!    recovery ([`recover_with`]) additionally skips and reports
-//!    corrupt mid-file records.
+//! 2. **Crash-recovery journaling** ([`Journal`], [`recover`]): the one
+//!    session journal that `tacc run-trace`, the crash harness and the
+//!    `tacc serve` daemon all write — an append-only, fsync'd JSONL file
+//!    of the scenario, every event and periodic full snapshots, each
+//!    record wrapped in a CRC-32 frame (one format, [`JOURNAL_VERSION`];
+//!    plain lines and other versions are typed errors) — and the one
+//!    reader that restores a runtime from it. [`RecoveryPolicy::Strict`]
+//!    tolerates exactly the torn final line a mid-write kill leaves;
+//!    [`RecoveryPolicy::Lenient`] additionally skips and reports corrupt
+//!    mid-file records.
 //! 3. **The crash harness** ([`run_with_crashes`],
 //!    [`kill_at_every_boundary`], [`corrupt_and_recover_everywhere`]):
 //!    simulated hard kills at event boundaries and single-byte
@@ -69,8 +70,8 @@ mod schedule;
 pub use crc::crc32;
 pub use error::ChaosError;
 pub use journal::{
-    journal_line_count, parse_journal_line, recover, recover_with, scan_journal, Journal,
-    JournalRecord, JournalScan, Recovery, RecoveryPolicy, JOURNAL_VERSION,
+    journal_line_count, parse_journal_line, recover, scan_journal, Journal, JournalRecord,
+    JournalScan, RecordOrder, Recovery, RecoveryPolicy, JOURNAL_VERSION,
 };
 pub use runner::{
     corrupt_and_recover_everywhere, kill_at_every_boundary, run_with_crashes, truncate_and_recover,

@@ -2,7 +2,10 @@
 //! boundaries, recovery, and proof that the result is byte-identical to
 //! an uninterrupted run.
 //!
-//! Three entry points:
+//! Four entry points, each writing the session journal
+//! ([`Journal::create_session`], then one `Event` record per event plus
+//! a `Snapshot` on the cadence, under one fsync per event) and each
+//! recovering through [`recover`]:
 //!
 //! - [`run_with_crashes`] replays a trace with a simulated hard kill at
 //!   every `crash_every`-th event boundary (the `tacc chaos
@@ -15,12 +18,16 @@
 //!   the process: one flipped byte at every record offset, each proven
 //!   detected and survivable — the acceptance gate for the CRC-framed
 //!   journal format.
+//! - [`truncate_and_recover`] cuts the journal at an arbitrary byte and
+//!   proves the reopen path heals it.
 //!
-//! Both check the runtime's invariants after every event (deep checks on
-//! the [`tacc_runtime::check::DEEP_CHECK_EVERY`] cadence) regardless of
-//! the `TACC_CHECK` environment switch, track the maximum transient
-//! overload (which must stay zero), and compare the final deterministic
-//! report *and* snapshot against an uninterrupted reference run.
+//! Every recovery requires the journal to be a prefix of the trace, then
+//! steps the rest of the trace with the runtime's invariants checked
+//! after every event (deep checks on the
+//! [`tacc_runtime::check::DEEP_CHECK_EVERY`] cadence) regardless of the
+//! `TACC_CHECK` environment switch, and compares the final deterministic
+//! report *and* snapshot against an uninterrupted reference run. The
+//! maximum transient overload must stay zero throughout.
 
 use std::path::Path;
 
@@ -28,7 +35,7 @@ use serde_json::{json, Value};
 use tacc_runtime::{InvariantChecker, Runtime, RuntimeConfig, RuntimeSnapshot};
 use tacc_workload::Trace;
 
-use crate::journal::{recover, recover_with, Journal, JournalRecord, RecoveryPolicy};
+use crate::journal::{recover, Journal, JournalRecord, Recovery, RecoveryPolicy};
 use crate::ChaosError;
 
 /// How a journaled, crash-injected replay is driven.
@@ -113,23 +120,68 @@ fn quarantine(trace: &Trace) -> Result<(), ChaosError> {
         .map_err(|e| ChaosError::Quarantine { reason: e.to_string() })
 }
 
-/// The uninterrupted reference: the deterministic report string and the
-/// final snapshot, plus the worst overload seen along the way.
-fn reference_run(
-    trace: &Trace,
-    config: &RuntimeConfig,
-) -> Result<(String, RuntimeSnapshot, f64), ChaosError> {
-    let checker = InvariantChecker::default();
-    let mut runtime = Runtime::from_trace(trace, config.clone())?;
-    let mut max_overload = 0.0f64;
-    for index in 0..trace.events.len() {
-        runtime.step(index, &trace.events[index])?;
-        max_overload = max_overload.max(runtime.max_overload());
-        checker.check(&runtime)?;
-    }
+/// A finished run's deterministic outcome: the report string and the
+/// final snapshot.
+type Outcome = (String, RuntimeSnapshot);
+
+fn outcome(runtime: &Runtime) -> Outcome {
     let report =
         serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-    Ok((report, runtime.snapshot(), max_overload))
+    (report, runtime.snapshot())
+}
+
+/// Steps `runtime` through the trace up to event `end`, checking its
+/// invariants after every event, and returns the worst transient
+/// overload seen.
+fn step_checked(runtime: &mut Runtime, trace: &Trace, end: usize) -> Result<f64, ChaosError> {
+    let checker = InvariantChecker::default();
+    let mut max_overload = 0.0f64;
+    while (runtime.cursor() as usize) < end {
+        let index = runtime.cursor() as usize;
+        runtime.step(index, &trace.events[index])?;
+        max_overload = max_overload.max(runtime.max_overload());
+        checker.check(runtime)?;
+    }
+    Ok(max_overload)
+}
+
+/// The uninterrupted reference outcome, plus the worst overload seen
+/// along the way.
+fn reference_run(trace: &Trace, config: &RuntimeConfig) -> Result<(Outcome, f64), ChaosError> {
+    let mut runtime = Runtime::from_trace(trace, config.clone())?;
+    let max_overload = step_checked(&mut runtime, trace, trace.events.len())?;
+    Ok((outcome(&runtime), max_overload))
+}
+
+/// Journals the first `events` events of `trace` to a fresh journal at
+/// `path`; returning drops the runtime and the journal handle, which is
+/// the simulated hard kill.
+fn journaled_run(
+    trace: &Trace,
+    config: &RuntimeConfig,
+    snapshot_every: u64,
+    path: &Path,
+    events: usize,
+) -> Result<(), ChaosError> {
+    let mut journal = Journal::create_session(path, &trace.scenario, config)?;
+    let mut runtime = Runtime::from_trace(trace, config.clone())?;
+    for (index, timed) in trace.events[..events].iter().enumerate() {
+        runtime.step(index, timed)?;
+        journal.append_event(index, timed, &runtime, snapshot_every)?;
+    }
+    Ok(())
+}
+
+/// Recovers from the journal under `policy` and requires it to be a
+/// prefix of `trace`.
+fn recover_prefix(
+    path: &Path,
+    trace: &Trace,
+    policy: RecoveryPolicy,
+) -> Result<Recovery, ChaosError> {
+    let recovery = recover(path, policy)?;
+    recovery.require_prefix_of(trace)?;
+    Ok(recovery)
 }
 
 /// Replays `trace` under `plan`, journaling to `journal_path`, simulating
@@ -149,58 +201,49 @@ pub fn run_with_crashes(
     journal_path: &Path,
 ) -> Result<ChaosReport, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, reference_overload) =
-        reference_run(trace, &plan.config)?;
+    let (reference, reference_overload) = reference_run(trace, &plan.config)?;
 
     let checker = InvariantChecker::default();
     let total = trace.events.len() as u64;
-    let mut journal = Journal::create(journal_path, trace, &plan.config)?;
+    let mut journal = Journal::create_session(journal_path, &trace.scenario, &plan.config)?;
     let mut runtime = Runtime::from_trace(trace, plan.config.clone())?;
     let mut crashes = 0u64;
     let mut snapshot_recoveries = 0u64;
     let mut replayed_events = 0u64;
     let mut max_overload = reference_overload;
     // Absolute crash schedule: kill once at each multiple of
-    // `crash_every`. Recovery rewinds at most to the last snapshot, so
-    // the run always progresses past the last kill point.
+    // `crash_every`. Recovery resumes at the journal's end, so the run
+    // always progresses past the last kill point.
     let mut next_crash = if plan.crash_every > 0 { plan.crash_every } else { u64::MAX };
-    let mut high_water = 0u64;
 
-    while (runtime.cursor() as usize) < trace.events.len() {
+    while runtime.cursor() < total {
         let index = runtime.cursor() as usize;
-        if (index as u64) < high_water {
-            replayed_events += 1;
-        }
         runtime.step(index, &trace.events[index])?;
+        journal.append_event(index, &trace.events[index], &runtime, plan.snapshot_every)?;
         max_overload = max_overload.max(runtime.max_overload());
         checker.check(&runtime)?;
-        journal.append(&JournalRecord::Step { index: index as u64 })?;
-        high_water = high_water.max(runtime.cursor());
-        if plan.snapshot_every > 0 && runtime.cursor() % plan.snapshot_every == 0 {
-            journal.append(&JournalRecord::Snapshot { snapshot: runtime.snapshot() })?;
-        }
 
         if runtime.cursor() >= next_crash && runtime.cursor() < total {
             // Simulated hard kill: both the runtime and the journal
             // handle vanish; only what was fsync'd survives.
             drop(runtime);
             drop(journal);
-            let recovery = recover(journal_path, trace)?;
-            runtime = recovery.runtime;
+            let recovery = recover_prefix(journal_path, trace, RecoveryPolicy::Strict)?;
             if recovery.from_snapshot {
                 snapshot_recoveries += 1;
             }
+            let journaled = recovery.trace.events.len();
+            runtime = recovery.runtime;
+            replayed_events += journaled as u64 - runtime.cursor();
+            max_overload = max_overload.max(step_checked(&mut runtime, trace, journaled)?);
             journal = Journal::open_append(journal_path)?;
-            journal.append(&JournalRecord::Recovered { cursor: runtime.cursor() })?;
+            journal.append(&JournalRecord::Recovered { cursor: journaled as u64 })?;
             crashes += 1;
             next_crash += plan.crash_every;
         }
     }
 
-    let final_report =
-        serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-    let final_snapshot = runtime.snapshot();
-    let byte_identical = final_report == reference_report && final_snapshot == reference_snapshot;
+    let byte_identical = outcome(&runtime) == reference;
     if max_overload > 1e-9 {
         return Err(ChaosError::Mismatch {
             reason: format!("transient overload of {max_overload} demand units"),
@@ -231,8 +274,9 @@ pub fn run_with_crashes(
 /// # Errors
 ///
 /// Returns [`ChaosError::Mismatch`] naming the first boundary whose
-/// recovered run diverged (or that saw a transient overload), and
-/// propagates journal and runtime failures.
+/// journal did not hold exactly `c` events, whose recovered run diverged,
+/// or that saw a transient overload, and propagates journal and runtime
+/// failures.
 pub fn kill_at_every_boundary(
     trace: &Trace,
     config: &RuntimeConfig,
@@ -240,66 +284,47 @@ pub fn kill_at_every_boundary(
     journal_path: &Path,
 ) -> Result<u64, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, _) = reference_run(trace, config)?;
-    let checker = InvariantChecker::default();
+    let (reference, _) = reference_run(trace, config)?;
+    let total = trace.events.len();
 
-    for crash_at in 1..=trace.events.len() {
+    for crash_at in 1..=total {
         // Phase 1: run to the boundary, journaling, then "kill".
-        let mut journal = Journal::create(journal_path, trace, config)?;
-        let mut runtime = Runtime::from_trace(trace, config.clone())?;
-        for index in 0..crash_at {
-            runtime.step(index, &trace.events[index])?;
-            journal.append(&JournalRecord::Step { index: index as u64 })?;
-            if snapshot_every > 0 && runtime.cursor() % snapshot_every == 0 {
-                journal.append(&JournalRecord::Snapshot { snapshot: runtime.snapshot() })?;
-            }
-        }
-        drop(runtime);
-        drop(journal);
+        journaled_run(trace, config, snapshot_every, journal_path, crash_at)?;
 
         // Phase 2: recover and finish.
-        let recovery = recover(journal_path, trace)?;
+        let recovery = recover_prefix(journal_path, trace, RecoveryPolicy::Strict)?;
+        let journaled = recovery.trace.events.len();
+        if journaled != crash_at {
+            return Err(ChaosError::Mismatch {
+                reason: format!("boundary {crash_at}: the journal holds {journaled} events"),
+            });
+        }
         let mut runtime = recovery.runtime;
-        if recovery.last_step.map(|s| s + 1) != Some(crash_at as u64) {
+        let overload = step_checked(&mut runtime, trace, total)?;
+        if overload > 1e-9 {
             return Err(ChaosError::Mismatch {
                 reason: format!(
-                    "boundary {crash_at}: journal recorded steps through {:?}",
-                    recovery.last_step
+                    "boundary {crash_at}: transient overload of {overload} demand units"
                 ),
             });
         }
-        while (runtime.cursor() as usize) < trace.events.len() {
-            let index = runtime.cursor() as usize;
-            runtime.step(index, &trace.events[index])?;
-            if runtime.max_overload() > 1e-9 {
-                return Err(ChaosError::Mismatch {
-                    reason: format!(
-                        "boundary {crash_at}: transient overload of {} demand units",
-                        runtime.max_overload()
-                    ),
-                });
-            }
-            checker.check(&runtime)?;
-        }
-        let report =
-            serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-        if report != reference_report || runtime.snapshot() != reference_snapshot {
+        if outcome(&runtime) != reference {
             return Err(ChaosError::Mismatch {
                 reason: format!("boundary {crash_at}: recovered run diverged from reference"),
             });
         }
     }
-    Ok(trace.events.len() as u64)
+    Ok(total as u64)
 }
 
 /// The exhaustive corruption gate: run the trace once fully journaled,
-/// then for every journal record after `Begin`, flip one byte of that
-/// line (deterministically: XOR `0x20` at offset `line_no * 7 % len`) and
-/// prove that the damage is *detected* (strict recovery rejects it; the
-/// final line counts as a torn tail instead), that lenient recovery
-/// *reports* it, and that finishing the trace from the lenient recovery
-/// is byte-identical to the uninterrupted reference run. Returns the
-/// number of record offsets proven.
+/// then for every journal record after the two header lines, flip one
+/// byte of that line (deterministically: XOR `0x20` at offset
+/// `line_no * 7 % len`) and prove that the damage is *detected* (strict
+/// recovery rejects it; the final line counts as a torn tail instead),
+/// that lenient recovery *reports* it, and that finishing the trace from
+/// the lenient recovery is byte-identical to the uninterrupted reference
+/// run. Returns the number of record offsets proven.
 ///
 /// # Errors
 ///
@@ -313,26 +338,17 @@ pub fn corrupt_and_recover_everywhere(
     journal_path: &Path,
 ) -> Result<u64, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, _) = reference_run(trace, config)?;
+    let (reference, _) = reference_run(trace, config)?;
 
     // One complete journaled run; its bytes are the corruption corpus.
-    let mut journal = Journal::create(journal_path, trace, config)?;
-    let mut runtime = Runtime::from_trace(trace, config.clone())?;
-    for index in 0..trace.events.len() {
-        runtime.step(index, &trace.events[index])?;
-        journal.append(&JournalRecord::Step { index: index as u64 })?;
-        if snapshot_every > 0 && runtime.cursor() % snapshot_every == 0 {
-            journal.append(&JournalRecord::Snapshot { snapshot: runtime.snapshot() })?;
-        }
-    }
-    drop(runtime);
-    drop(journal);
+    journaled_run(trace, config, snapshot_every, journal_path, trace.events.len())?;
     let pristine =
         std::fs::read_to_string(journal_path).map_err(|e| ChaosError::io(journal_path, &e))?;
     let lines: Vec<&str> = pristine.lines().collect();
 
     let mut proven = 0u64;
-    for target in 1..lines.len() {
+    // The two header lines are exempt: damage there is fatal by design.
+    for target in 2..lines.len() {
         // Rewrite the journal with one byte of line `target` flipped.
         let mut damaged = String::with_capacity(pristine.len());
         for (i, line) in lines.iter().enumerate() {
@@ -351,7 +367,7 @@ pub fn corrupt_and_recover_everywhere(
         let line_no = target + 1;
         // Detection: strict recovery must reject mid-file damage (the
         // final line is reported as a torn tail instead).
-        let strict = recover_with(journal_path, trace, RecoveryPolicy::Strict);
+        let strict = recover(journal_path, RecoveryPolicy::Strict);
         let is_tail = target + 1 == lines.len();
         match (&strict, is_tail) {
             (Err(ChaosError::Journal { .. }), false) | (Ok(_), true) => {}
@@ -370,7 +386,7 @@ pub fn corrupt_and_recover_everywhere(
 
         // Reporting + completion: lenient recovery must name the damage
         // and still finish the trace byte-identically.
-        let recovery = recover_with(journal_path, trace, RecoveryPolicy::Lenient)?;
+        let recovery = recover_prefix(journal_path, trace, RecoveryPolicy::Lenient)?;
         let reported = recovery.torn_tail || recovery.corrupt_records == vec![line_no];
         if !reported {
             return Err(ChaosError::Mismatch {
@@ -382,13 +398,8 @@ pub fn corrupt_and_recover_everywhere(
             });
         }
         let mut runtime = recovery.runtime;
-        while (runtime.cursor() as usize) < trace.events.len() {
-            let index = runtime.cursor() as usize;
-            runtime.step(index, &trace.events[index])?;
-        }
-        let report =
-            serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-        if report != reference_report || runtime.snapshot() != reference_snapshot {
+        step_checked(&mut runtime, trace, trace.events.len())?;
+        if outcome(&runtime) != reference {
             return Err(ChaosError::Mismatch {
                 reason: format!("line {line_no}: recovery from corruption diverged from reference"),
             });
@@ -412,11 +423,11 @@ pub fn corrupt_and_recover_everywhere(
 ///
 /// # Errors
 ///
-/// Returns [`ChaosError::Journal`] when `at_byte` cuts into the `Begin`
-/// record (nothing can be trusted without it — recovery *must* fail, so
-/// there is nothing to prove), [`ChaosError::Mismatch`] when the healed
-/// run diverges from the reference, and propagates journal and runtime
-/// failures.
+/// Returns [`ChaosError::Journal`] when `at_byte` cuts into the two
+/// header lines (nothing can be trusted without them — recovery *must*
+/// fail, so there is nothing to prove), [`ChaosError::Mismatch`] when the
+/// healed run diverges from the reference, and propagates journal and
+/// runtime failures.
 pub fn truncate_and_recover(
     trace: &Trace,
     config: &RuntimeConfig,
@@ -425,70 +436,48 @@ pub fn truncate_and_recover(
     at_byte: u64,
 ) -> Result<u64, ChaosError> {
     quarantine(trace)?;
-    let (reference_report, reference_snapshot, _) = reference_run(trace, config)?;
+    let (reference, _) = reference_run(trace, config)?;
 
     // One complete journaled run; its bytes are the damage corpus.
-    let mut journal = Journal::create(journal_path, trace, config)?;
-    let mut runtime = Runtime::from_trace(trace, config.clone())?;
-    for index in 0..trace.events.len() {
-        runtime.step(index, &trace.events[index])?;
-        journal.append(&JournalRecord::Step { index: index as u64 })?;
-        if snapshot_every > 0 && runtime.cursor() % snapshot_every == 0 {
-            journal.append(&JournalRecord::Snapshot { snapshot: runtime.snapshot() })?;
-        }
-    }
-    drop(runtime);
-    drop(journal);
+    journaled_run(trace, config, snapshot_every, journal_path, trace.events.len())?;
     let pristine = std::fs::read(journal_path).map_err(|e| ChaosError::io(journal_path, &e))?;
-
-    let begin_end =
-        pristine.iter().position(|&b| b == b'\n').map_or(pristine.len() as u64, |p| p as u64 + 1);
-    if at_byte < begin_end {
-        return Err(ChaosError::Journal {
-            reason: format!(
-                "cut at byte {at_byte} severs the Begin record (ends at byte {begin_end}); \
-                 a journal without an intact Begin is unrecoverable by design"
-            ),
-        });
-    }
 
     // The cut: everything past `at_byte` is gone, exactly what ENOSPC or
     // a short write leaves behind.
-    let cut = (at_byte as usize).min(pristine.len());
+    let cut = usize::try_from(at_byte).unwrap_or(usize::MAX).min(pristine.len());
     std::fs::write(journal_path, &pristine[..cut]).map_err(|e| ChaosError::io(journal_path, &e))?;
 
-    // Healing: reopening truncates the torn tail to an intact record
-    // boundary, after which strict recovery accepts the journal...
-    drop(Journal::open_append(journal_path)?);
-    let surviving = crate::journal::journal_line_count(journal_path)?;
-    let recovery = recover_with(journal_path, trace, RecoveryPolicy::Strict)?;
-    if recovery.torn_tail || !recovery.corrupt_records.is_empty() {
-        return Err(ChaosError::Mismatch {
-            reason: format!(
-                "cut at byte {at_byte}: reopen left damage behind \
-                 (torn_tail={}, corrupt={:?})",
-                recovery.torn_tail, recovery.corrupt_records
-            ),
-        });
-    }
+    let healed = (|| {
+        // Healing: reopening truncates the torn tail to an intact record
+        // boundary, after which strict recovery accepts the journal — or,
+        // for a cut into the header, refuses it typed...
+        drop(Journal::open_append(journal_path)?);
+        let surviving = crate::journal::journal_line_count(journal_path)?;
+        let recovery = recover_prefix(journal_path, trace, RecoveryPolicy::Strict)?;
+        if recovery.torn_tail || !recovery.corrupt_records.is_empty() {
+            return Err(ChaosError::Mismatch {
+                reason: format!(
+                    "cut at byte {at_byte}: reopen left damage behind \
+                     (torn_tail={}, corrupt={:?})",
+                    recovery.torn_tail, recovery.corrupt_records
+                ),
+            });
+        }
 
-    // ...and finishing the trace reproduces the reference exactly.
-    let mut runtime = recovery.runtime;
-    while (runtime.cursor() as usize) < trace.events.len() {
-        let index = runtime.cursor() as usize;
-        runtime.step(index, &trace.events[index])?;
-    }
-    let report =
-        serde_json::to_string(&runtime.report_json(false)).expect("reports are serializable");
-    if report != reference_report || runtime.snapshot() != reference_snapshot {
-        return Err(ChaosError::Mismatch {
-            reason: format!("cut at byte {at_byte}: healed run diverged from reference"),
-        });
-    }
+        // ...and finishing the trace reproduces the reference exactly.
+        let mut runtime = recovery.runtime;
+        step_checked(&mut runtime, trace, trace.events.len())?;
+        if outcome(&runtime) != reference {
+            return Err(ChaosError::Mismatch {
+                reason: format!("cut at byte {at_byte}: healed run diverged from reference"),
+            });
+        }
+        Ok(surviving)
+    })();
 
     // Restore the pristine journal so the caller can inspect it.
     std::fs::write(journal_path, &pristine).map_err(|e| ChaosError::io(journal_path, &e))?;
-    Ok(surviving)
+    healed
 }
 
 #[cfg(test)]
@@ -528,8 +517,8 @@ mod tests {
         assert_eq!(report.crashes, 0);
         assert!(report.byte_identical);
         // The journal is complete and recoverable even without crashes.
-        let recovery = recover(&path, &trace).unwrap();
-        assert_eq!(recovery.last_step, Some(24));
+        let recovery = recover(&path, RecoveryPolicy::Strict).unwrap();
+        assert_eq!(recovery.trace.events, trace.events, "every event is journaled");
         std::fs::remove_file(&path).ok();
     }
 
@@ -541,13 +530,14 @@ mod tests {
         let path = temp_path("corrupt-gate");
         let proven =
             corrupt_and_recover_everywhere(&trace, &RuntimeConfig::default(), 4, &path).unwrap();
-        // 12 steps + 3 snapshots (after events 4, 8, 12); Begin is exempt.
+        // 12 events + 3 snapshots (after events 4, 8, 12); the two
+        // header lines are exempt.
         assert_eq!(proven, 15);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn truncation_gate_heals_any_cut_past_the_begin_record() {
+    fn truncation_gate_heals_any_cut_past_the_header() {
         let scenario = TraceScenario { num_iot: 10, num_servers: 3, ..TraceScenario::default() };
         let trace =
             ChaosGenerator::new(scenario, ChaosProfile::Mixed).num_events(12).generate(21).unwrap();
@@ -558,16 +548,21 @@ mod tests {
         // of offsets: record boundaries, mid-record, mid-frame, past EOF.
         truncate_and_recover(&trace, &config, 4, &path, u64::MAX).unwrap();
         let pristine = std::fs::read(&path).unwrap();
-        let begin_end = pristine.iter().position(|&b| b == b'\n').unwrap() as u64 + 1;
+        let newlines: Vec<u64> =
+            (0..pristine.len()).filter(|&i| pristine[i] == b'\n').map(|i| i as u64 + 1).collect();
+        let (begin_end, header_end) = (newlines[0], newlines[1]);
         let len = pristine.len() as u64;
-        for at_byte in [begin_end, begin_end + 3, len / 2, len - 1, len, len + 100] {
+        for at_byte in [header_end, header_end + 3, len / 2, len - 1, len, len + 100] {
             let surviving = truncate_and_recover(&trace, &config, 4, &path, at_byte).unwrap();
-            assert!(surviving >= 1, "cut at {at_byte}: the Begin record always survives");
+            assert!(surviving >= 2, "cut at {at_byte}: the header always survives");
         }
 
-        // Cutting into Begin itself is typed, not provable.
-        let err = truncate_and_recover(&trace, &config, 4, &path, begin_end - 1).unwrap_err();
-        assert!(matches!(err, ChaosError::Journal { .. }), "got {err:?}");
+        // Cutting into the header itself is typed, not provable.
+        for at_byte in [0, begin_end - 1, begin_end, header_end - 1] {
+            let err = truncate_and_recover(&trace, &config, 4, &path, at_byte).unwrap_err();
+            assert!(matches!(err, ChaosError::Journal { .. }), "cut at {at_byte}: got {err:?}");
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), pristine, "the pristine journal is restored");
         std::fs::remove_file(&path).ok();
     }
 

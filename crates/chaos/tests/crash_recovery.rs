@@ -5,7 +5,7 @@
 
 use tacc_chaos::{
     corrupt_and_recover_everywhere, kill_at_every_boundary, recover, run_with_crashes,
-    ChaosGenerator, ChaosProfile, CrashPlan,
+    ChaosGenerator, ChaosProfile, CrashPlan, RecoveryPolicy,
 };
 use tacc_runtime::RuntimeConfig;
 use tacc_workload::{TopologyFamily, TraceScenario};
@@ -85,7 +85,7 @@ fn corruption_at_every_record_offset_is_detected_and_survived() {
         let path = temp_path(&format!("corrupt-{}", profile.name()));
         let proven = corrupt_and_recover_everywhere(&trace, &RuntimeConfig::default(), 5, &path)
             .unwrap_or_else(|e| panic!("{}: {e}", profile.name()));
-        // 20 steps + 4 snapshots, Begin exempt.
+        // 20 events + 4 snapshots; the two header lines are exempt.
         assert_eq!(proven, 24, "{}: every record offset proven", profile.name());
         std::fs::remove_file(&path).ok();
     }
@@ -104,8 +104,9 @@ fn a_recovered_journal_can_recover_again() {
     let plan = CrashPlan { crash_every: 7, snapshot_every: 5, ..CrashPlan::default() };
     let report = run_with_crashes(&trace, &plan, &path).unwrap();
     assert!(report.byte_identical);
-    let recovery = recover(&path, &trace).unwrap();
-    assert_eq!(recovery.last_step, Some(29), "all steps are durable");
+    let recovery = recover(&path, RecoveryPolicy::Strict).unwrap();
+    assert_eq!(recovery.trace.events, trace.events, "all events are durable");
     assert!(recovery.from_snapshot);
+    assert_eq!(recovery.runtime.cursor(), 30, "the last snapshot lands on the final event");
     std::fs::remove_file(&path).ok();
 }

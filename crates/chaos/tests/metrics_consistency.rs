@@ -1,7 +1,7 @@
 //! The runtime's transition counters are bookkeeping along the code
 //! paths that move devices; this test recomputes them from the ground
 //! truth instead — the device-state sequence observed at every event
-//! boundary (the same boundaries the crash journal's `Step` records
+//! boundary (the same boundaries the crash journal's `Event` records
 //! delimit) — and demands exact agreement after every event.
 //!
 //! Recount rules, per event, from the per-device state diff:

@@ -3,7 +3,7 @@
 use std::path::Path;
 
 use tacc_chaos::{
-    corrupt_and_recover_everywhere, recover_with, run_with_crashes, ChaosGenerator, ChaosProfile,
+    corrupt_and_recover_everywhere, recover, run_with_crashes, ChaosGenerator, ChaosProfile,
     CrashPlan, Journal, JournalRecord, RecoveryPolicy,
 };
 use tacc_core::sim::SimConfig;
@@ -783,15 +783,18 @@ fn run_trace_report(args: &Args) -> Result<String, String> {
     gate_inputs(&validate::validate_trace(&trace), args.has("strict-inputs"))?;
 
     let mut journal = None;
+    // Events already in the journal; only events past them are journaled.
+    let mut journaled = 0;
     let mut runtime = if let Some(journal_file) = journal_path.filter(|_| args.has("recover")) {
-        // Crash recovery: rebuild from the fsync'd journal, then keep
-        // journaling the rest of the replay to the same file. The default
-        // policy is lenient (skip-and-report mid-journal corruption);
-        // `--strict` refuses to proceed past a single damaged record.
+        // Crash recovery: restore from the fsync'd journal — which must be
+        // a prefix of the trace — then keep journaling the rest of the
+        // replay to the same file. The default policy is lenient
+        // (skip-and-report mid-journal corruption); `--strict` refuses to
+        // proceed past a single damaged record.
         let policy =
             if args.has("strict") { RecoveryPolicy::Strict } else { RecoveryPolicy::Lenient };
-        let recovery =
-            recover_with(Path::new(journal_file), &trace, policy).map_err(|e| e.to_string())?;
+        let recovery = recover(Path::new(journal_file), policy).map_err(|e| e.to_string())?;
+        recovery.require_prefix_of(&trace).map_err(|e| e.to_string())?;
         if !recovery.corrupt_records.is_empty() {
             eprintln!(
                 "[recover] skipped {} corrupt journal record(s) at line(s) {:?}",
@@ -799,10 +802,11 @@ fn run_trace_report(args: &Args) -> Result<String, String> {
                 recovery.corrupt_records
             );
         }
+        journaled = recovery.trace.events.len();
         let mut handle =
             Journal::open_append(Path::new(journal_file)).map_err(|e| e.to_string())?;
         handle
-            .append(&JournalRecord::Recovered { cursor: recovery.runtime.cursor() })
+            .append(&JournalRecord::Recovered { cursor: journaled as u64 })
             .map_err(|e| e.to_string())?;
         journal = Some(handle);
         recovery.runtime
@@ -816,7 +820,7 @@ fn run_trace_report(args: &Args) -> Result<String, String> {
         let config = runtime_config_from(args)?;
         if let Some(journal_file) = journal_path {
             journal = Some(
-                Journal::create(Path::new(journal_file), &trace, &config)
+                Journal::create_session(Path::new(journal_file), &trace.scenario, &config)
                     .map_err(|e| e.to_string())?,
             );
         }
@@ -851,15 +855,10 @@ fn run_trace_report(args: &Args) -> Result<String, String> {
     while (runtime.cursor() as usize) < end {
         let index = runtime.cursor() as usize;
         runtime.step(index, &trace.events[index]).map_err(|e| e.to_string())?;
-        if let Some(handle) = journal.as_mut() {
+        if let Some(handle) = journal.as_mut().filter(|_| index >= journaled) {
             handle
-                .append(&JournalRecord::Step { index: index as u64 })
+                .append_event(index, &trace.events[index], &runtime, snapshot_every)
                 .map_err(|e| e.to_string())?;
-            if snapshot_every > 0 && runtime.cursor() % snapshot_every == 0 {
-                handle
-                    .append(&JournalRecord::Snapshot { snapshot: runtime.snapshot() })
-                    .map_err(|e| e.to_string())?;
-            }
         }
         if let Some(s) = stream.as_mut() {
             s.record(
@@ -1433,7 +1432,6 @@ fn bench_solvers(
         "speedup": serial_ms / parallel_ms,
         "identical": identical,
         "solvers": solvers,
-        "serve": bench_serve(quick, reps)?,
         "zones": bench_zones(quick, reps)?,
         "ha": bench_ha(quick)?,
     }))
@@ -1558,65 +1556,6 @@ fn bench_ha(quick: bool) -> Result<serde_json::Value, String> {
         "repl_lag_p99_ms": repl_lag_p99_ms,
         "failover_ms": failover_ms,
         "identical": identical,
-    }))
-}
-
-/// The control-plane section of `BENCH_solvers.json`: a full in-process
-/// serve session under fixed seeds — burst-ingest throughput and query
-/// latency percentiles. The state the daemon lands on is deterministic;
-/// only the timings vary run to run.
-fn bench_serve(quick: bool, reps: usize) -> Result<serde_json::Value, String> {
-    let (devices, servers, events) = if quick { (20, 4, 300) } else { (60, 8, 2000) };
-    let scenario = TraceScenario {
-        num_iot: devices,
-        num_servers: servers,
-        load_factor: 0.7,
-        seed: 2022,
-        ..TraceScenario::default()
-    };
-    let trace = TraceGenerator::new(scenario)
-        .num_events(events)
-        .generate(2022)
-        .map_err(|e| e.to_string())?;
-    let shell = Trace { events: Vec::new(), ..trace.clone() };
-    let config = RuntimeConfig { seed: 2022, ..RuntimeConfig::default() };
-    let cfg = tacc_serve::ServeConfig::default();
-
-    // Ingest: the whole trace in batch-size bursts, coalesced applies.
-    let (ingest_ms, _) = best_of_ms(reps, || {
-        let mut session =
-            tacc_serve::Session::start(shell.clone(), config.clone(), &cfg).expect("session");
-        for chunk in trace.events.chunks(cfg.batch_size) {
-            session.push(chunk.to_vec(), 0).expect("push");
-        }
-        session.flush().expect("flush");
-        session
-    });
-    let ingest_events_per_sec = events as f64 / (ingest_ms / 1e3);
-
-    // Query latency against the settled session.
-    let mut session = tacc_serve::Session::start(shell, config, &cfg).map_err(|e| e.to_string())?;
-    session.push(trace.events.clone(), 0).map_err(|e| e.to_string())?;
-    session.flush().map_err(|e| e.to_string())?;
-    let mut latencies_ms: Vec<f64> = (0..200)
-        .map(|i| {
-            let start = std::time::Instant::now();
-            session.query(i % devices).expect("query");
-            start.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    latencies_ms.sort_by(f64::total_cmp);
-    let pct = |q: f64| latencies_ms[((latencies_ms.len() - 1) as f64 * q).round() as usize];
-
-    Ok(serde_json::json!({
-        "devices": devices,
-        "servers": servers,
-        "events": events,
-        "seed": 2022u64,
-        "ingest_ms": ingest_ms,
-        "ingest_events_per_sec": ingest_events_per_sec,
-        "query_p50_ms": pct(0.50),
-        "query_p99_ms": pct(0.99),
     }))
 }
 
@@ -1938,6 +1877,153 @@ mod tests {
         let recovered = run(&["--journal", journal_flag, "--recover"]);
         assert_eq!(whole, recovered);
         std::fs::remove_file(&journal_path).ok();
+    }
+
+    /// A generated 40-event trace written to `dir/trace.json`, plus a
+    /// `run-trace --seed 7` runner over it.
+    fn cross_dialect_fixture(dir: &Path) -> (Trace, impl Fn(&[&str]) -> Result<String, String>) {
+        std::fs::create_dir_all(dir).unwrap();
+        let trace_path = dir.join("trace.json");
+        let gen_args = Args::parse(&argv(&[
+            "--devices",
+            "15",
+            "--servers",
+            "3",
+            "--events",
+            "40",
+            "--seed",
+            "7",
+        ]))
+        .unwrap();
+        let json = gen_trace_json(&gen_args).unwrap();
+        std::fs::write(&trace_path, &json).unwrap();
+        let trace = Trace::from_json(&json).unwrap();
+        let trace_flag = trace_path.to_str().unwrap().to_owned();
+        let run = move |extra: &[&str]| {
+            let mut a: Vec<&str> = vec!["--trace", &trace_flag, "--seed", "7"];
+            a.extend_from_slice(extra);
+            run_trace_report(&Args::parse(&argv(&a)).unwrap())
+        };
+        (trace, run)
+    }
+
+    #[test]
+    fn run_trace_recovers_a_daemon_session_journal() {
+        let dir = std::env::temp_dir().join("tacc-cli-cross-session");
+        let (trace, run) = cross_dialect_fixture(&dir);
+        let journal_path = dir.join("session.jsonl");
+
+        // A journaled session fed in bursts, with flushes and snapshots
+        // along the way and its last burst still pending at the "kill".
+        let config = runtime_config_from(&Args::parse(&argv(&["--seed", "7"])).unwrap()).unwrap();
+        let cfg = tacc_serve::ServeConfig {
+            journal: Some(journal_path.clone()),
+            batch_size: 10,
+            snapshot_every: 8,
+            ..tacc_serve::ServeConfig::default()
+        };
+        let shell = Trace { events: Vec::new(), ..trace.clone() };
+        let mut session = tacc_serve::Session::start(shell, config, &cfg).unwrap();
+        for burst in trace.events.chunks(6) {
+            session.push(burst.to_vec(), 0).unwrap();
+        }
+        assert!(session.pending() > 0, "the fixture leaves a suffix to replay");
+        drop(session);
+
+        let journal_flag = journal_path.to_str().unwrap();
+        let recovered = run(&["--journal", journal_flag, "--recover"]).unwrap();
+        assert_eq!(run(&[]).unwrap(), recovered);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_daemon_session_recovers_a_run_trace_journal() {
+        let dir = std::env::temp_dir().join("tacc-cli-cross-run-trace");
+        let (trace, run) = cross_dialect_fixture(&dir);
+        let journal_path = dir.join("run.jsonl");
+        run(&["--journal", journal_path.to_str().unwrap(), "--stop-after", "23"]).unwrap();
+
+        let cfg = tacc_serve::ServeConfig {
+            journal: Some(journal_path.clone()),
+            ..tacc_serve::ServeConfig::default()
+        };
+        let mut recovered = tacc_serve::Session::recover(&cfg).unwrap();
+        assert_eq!(recovered.cursor(), 23);
+        recovered.push(trace.events[23..].to_vec(), 0).unwrap();
+
+        let config = runtime_config_from(&Args::parse(&argv(&["--seed", "7"])).unwrap()).unwrap();
+        let shell = Trace { events: Vec::new(), ..trace.clone() };
+        let mut whole =
+            tacc_serve::Session::start(shell, config, &tacc_serve::ServeConfig::default()).unwrap();
+        whole.push(trace.events.clone(), 0).unwrap();
+        assert_eq!(recovered.snapshot_json().unwrap(), whole.snapshot_json().unwrap());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn run_trace_recovery_rejects_the_wrong_trace() {
+        let dir = std::env::temp_dir().join("tacc-cli-wrong-trace");
+        let (trace, run) = cross_dialect_fixture(&dir);
+        let journal_path = dir.join("run.jsonl");
+        let journal_flag = journal_path.to_str().unwrap();
+        run(&["--journal", journal_flag, "--stop-after", "23"]).unwrap();
+        let journaled = std::fs::read(&journal_path).unwrap();
+
+        // Same scenario, other events.
+        let other =
+            TraceGenerator::new(trace.scenario.clone()).num_events(40).generate(99).unwrap();
+        let other_path = dir.join("other.json");
+        std::fs::write(&other_path, other.to_json()).unwrap();
+        let err = run_trace_report(
+            &Args::parse(&argv(&[
+                "--trace",
+                other_path.to_str().unwrap(),
+                "--journal",
+                journal_flag,
+                "--recover",
+            ]))
+            .unwrap(),
+        )
+        .unwrap_err();
+        let typed = tacc_chaos::ChaosError::Journal { reason: String::new() }.to_string();
+        assert!(err.starts_with(&typed) && err.contains("not a prefix"), "got: {err}");
+        assert_eq!(std::fs::read(&journal_path).unwrap(), journaled, "the journal is untouched");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn lenient_re_recovery_reads_past_a_gap_closed_by_a_recovered_record() {
+        let dir = std::env::temp_dir().join("tacc-cli-re-recovery");
+        let (_, run) = cross_dialect_fixture(&dir);
+        let journal_path = dir.join("run.jsonl");
+        let journal_flag = journal_path.to_str().unwrap();
+        let whole = run(&[]).unwrap();
+        run(&["--journal", journal_flag, "--stop-after", "17"]).unwrap();
+
+        // Flip one byte inside the mid-file line of event 7.
+        let mut bytes = std::fs::read(&journal_path).unwrap();
+        let text = String::from_utf8(bytes.clone()).unwrap();
+        let line = text.find("{\"Event\":{\"index\":7,").unwrap();
+        let start = text[..line].rfind('\n').unwrap() + 1;
+        bytes[start + 10] ^= 0x20;
+        std::fs::write(&journal_path, &bytes).unwrap();
+
+        let strict = ["--journal", journal_flag, "--recover", "--strict"];
+        let err = run(&strict).unwrap_err();
+        assert!(err.contains("corrupt record"), "got: {err}");
+        // Lenient recovery ends the timeline at the damaged event,
+        // journals `Recovered` and carries on from there.
+        run(&["--journal", journal_flag, "--recover", "--stop-after", "25"]).unwrap();
+        let text = std::fs::read_to_string(&journal_path).unwrap();
+        assert!(text.contains("{\"Recovered\":{\"cursor\":7}}"), "{text}");
+
+        // The file is still damaged: strict still refuses, and lenient
+        // reads past the gap to finish byte-identically.
+        let err = run(&strict).unwrap_err();
+        assert!(err.contains("corrupt record"), "got: {err}");
+        let recovered = run(&["--journal", journal_flag, "--recover"]).unwrap();
+        assert_eq!(whole, recovered);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

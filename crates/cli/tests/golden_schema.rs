@@ -77,8 +77,6 @@ fn bench_reports_keep_their_schema() {
          algorithms:[str],serial_ms:float,parallel_ms:float,speedup:float,identical:bool,\
          solvers:[{name:str,wall_ms:float,moves:uint,moves_per_sec:float,\
          total_delay_ms:float}],\
-         serve:{devices:uint,servers:uint,events:uint,seed:uint,ingest_ms:float,\
-         ingest_events_per_sec:float,query_p50_ms:float,query_p99_ms:float},\
          zones:{devices:uint,servers:uint,zones:uint,zoned_ms:float,global_ms:float,\
          objective_ratio:float,identical_at_one_zone:bool},\
          ha:{devices:uint,servers:uint,events:uint,seed:uint,repl_lag_p50_ms:float,\

@@ -28,8 +28,8 @@
 //!   wiring both into the daemon. On the standby it intercepts
 //!   `Replicate` and `Promote`; `Promote` rebuilds a full
 //!   [`tacc_serve::Session`] through [`tacc_serve::Session::recover`],
-//!   the one path that replays a session journal into a runtime and
-//!   the one `--recover` uses. Promotion therefore costs one recovery.
+//!   the path `--recover` uses, which reads the journal with
+//!   [`tacc_chaos::recover`]. Promotion therefore costs one recovery.
 //!   Recovery restores the push seq-dedup record, so a burst the dead
 //!   primary acked and a failing-over client re-sends is answered from
 //!   the record instead of applied twice.

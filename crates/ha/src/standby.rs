@@ -2,7 +2,7 @@
 
 use std::path::PathBuf;
 
-use tacc_chaos::{parse_journal_line, Journal, JournalRecord};
+use tacc_chaos::{Journal, RecordOrder};
 use tacc_serve::{ServeConfig, ServeError, Session};
 
 use crate::failpoint;
@@ -14,8 +14,8 @@ use crate::failpoint;
 /// rebuilds the serving [`Session`] from it through the same
 /// [`Session::recover`] path a `--recover` restart uses, so a promoted
 /// standby is byte-identical to a recovered primary. Nothing is
-/// replayed before promotion; shipped records are only checked for the
-/// order recovery relies on.
+/// replayed before promotion; shipped records are only checked against
+/// [`RecordOrder`], the rulebook recovery reads them by.
 #[derive(Debug)]
 pub struct StandbyCore {
     cfg: ServeConfig,
@@ -27,59 +27,6 @@ pub struct StandbyCore {
     lines: u64,
     /// The record order of the held lines.
     order: RecordOrder,
-}
-
-/// How far the held records have come in the order a session journal
-/// must follow: `Begin`, then `SessionScenario`, then `Event`s with
-/// contiguous indices from zero.
-#[derive(Debug, Default, Clone, Copy)]
-struct RecordOrder {
-    begun: bool,
-    scenario: bool,
-    /// `Event` records held — the cursor a recovery replays to.
-    events: u64,
-}
-
-impl RecordOrder {
-    /// Admits one record after those already held, or says why it is
-    /// out of order. `Step`/`Snapshot`/`Recovered`/`SeqAck` are
-    /// bookkeeping the recovery path consumes in any position.
-    fn admit(&mut self, record: &JournalRecord) -> Result<(), String> {
-        match record {
-            JournalRecord::Begin { .. } => self.begun = true,
-            JournalRecord::SessionScenario { .. } => {
-                if !self.begun {
-                    return Err("SessionScenario shipped before Begin".to_owned());
-                }
-                self.scenario = true;
-            }
-            JournalRecord::Event { index, .. } => {
-                if !self.scenario {
-                    return Err("Event shipped before SessionScenario".to_owned());
-                }
-                if *index != self.events {
-                    return Err(format!(
-                        "replicated event {index} arrived at position {}",
-                        self.events
-                    ));
-                }
-                self.events += 1;
-            }
-            JournalRecord::Step { .. }
-            | JournalRecord::Snapshot { .. }
-            | JournalRecord::Recovered { .. }
-            | JournalRecord::SeqAck { .. } => {}
-        }
-        Ok(())
-    }
-
-    /// The order after `lines`, each CRC-verified and admitted in turn.
-    fn after<'l>(mut self, lines: impl IntoIterator<Item = &'l str>) -> Result<Self, String> {
-        for line in lines {
-            self.admit(&parse_journal_line(line)?)?;
-        }
-        Ok(self)
-    }
 }
 
 impl StandbyCore {
@@ -134,8 +81,8 @@ impl StandbyCore {
     /// gap (`base` beyond the held count) is a typed error, never a
     /// silent hole. Before anything is written, every fresh line must
     /// CRC-verify and the batch must continue the held record order
-    /// (`Begin` before `SessionScenario` before `Event`, contiguous
-    /// `Event` indices); the batch is then fsync'd once.
+    /// under [`RecordOrder`] (`Begin` then `SessionScenario` first,
+    /// contiguous `Event` indices); the batch is then fsync'd once.
     ///
     /// Returns the new durable line count (the `ReplicaAck` cursor).
     ///
@@ -195,11 +142,11 @@ impl StandbyCore {
         // Recovery re-opens the file itself; drop our append handle.
         self.journal = None;
         let session = Session::recover(&self.cfg)?;
-        if session.cursor() != self.order.events {
+        if session.cursor() != self.order.events() {
             return Err(ServeError::state(format!(
                 "promotion recovered cursor {} but the standby holds {} events",
                 session.cursor(),
-                self.order.events
+                self.order.events()
             )));
         }
         tacc_obs::counter_add("ha.failovers", 1);

@@ -1,7 +1,7 @@
 //! The daemon's resident state: one scenario, one runtime, one journal.
 
 use serde_json::Value;
-use tacc_chaos::{scan_journal, Journal, JournalRecord, RecoveryPolicy};
+use tacc_chaos::{Journal, JournalRecord, RecoveryPolicy};
 use tacc_core::Algorithm;
 use tacc_gap::GapInstance;
 use tacc_guard::{Budget, Supervisor, SupervisorConfig};
@@ -141,14 +141,10 @@ impl Session {
         let runtime = Runtime::from_trace(&trace, config.clone())
             .map_err(|e| ServeError::state(e.to_string()))?;
         let journal = match &cfg.journal {
-            Some(path) => {
-                let mut journal = Journal::create(path, &trace, &config)
-                    .map_err(|e| ServeError::state(e.to_string()))?;
-                journal
-                    .append(&JournalRecord::SessionScenario { scenario: trace.scenario.clone() })
-                    .map_err(|e| ServeError::state(e.to_string()))?;
-                Some(journal)
-            }
+            Some(path) => Some(
+                Journal::create_session(path, &trace.scenario, &config)
+                    .map_err(|e| ServeError::state(e.to_string()))?,
+            ),
             None => None,
         };
         let stream = open_stream(cfg, &trace, &runtime, false)?;
@@ -169,73 +165,26 @@ impl Session {
         })
     }
 
-    /// Rebuilds a session from its journal alone: scenario and events
-    /// come from the `SessionScenario`/`Event` records, state restores
-    /// from the last intact snapshot, and the remaining journaled events
-    /// replay deterministically — landing on exactly the state the
-    /// killed daemon had acknowledged.
+    /// Rebuilds a session from its journal alone through
+    /// [`tacc_chaos::recover`]: scenario, events, restore point and the
+    /// last `SeqAck` come from the journal, and the journaled events past
+    /// the restore point replay deterministically — landing on exactly
+    /// the state the killed daemon had acknowledged.
     ///
     /// # Errors
     ///
-    /// [`ServeError::State`] when no journal is configured, the journal
-    /// is damaged beyond its torn tail, or it lacks a session scenario;
-    /// plus everything [`Session::start`] can return.
+    /// [`ServeError::State`] when no journal is configured or the journal
+    /// is unusable under [`RecoveryPolicy::Strict`]; [`ServeError::Io`]
+    /// when the `snapshot.load` failpoint fires; plus everything
+    /// [`Session::start`] can return.
     pub fn recover(cfg: &ServeConfig) -> Result<Session, ServeError> {
         let Some(path) = cfg.journal.clone() else {
             return Err(ServeError::state("recovery needs --journal"));
         };
-        let scan = scan_journal(&path, RecoveryPolicy::Strict)
-            .map_err(|e| ServeError::state(e.to_string()))?;
-
-        let mut scenario = None;
-        let mut events: Vec<TimedEvent> = Vec::new();
-        let mut last_snapshot = None;
-        let mut last_seq_ack: Option<(u64, u64, u64)> = None;
-        for record in scan.records {
-            match record {
-                JournalRecord::SessionScenario { scenario: s } => scenario = Some(s),
-                JournalRecord::Event { index, timed } => {
-                    if index as usize != events.len() {
-                        return Err(ServeError::state(format!(
-                            "journal event {index} arrived at position {}",
-                            events.len()
-                        )));
-                    }
-                    events.push(timed);
-                }
-                JournalRecord::Snapshot { snapshot } => last_snapshot = Some(snapshot),
-                JournalRecord::SeqAck { seq, queued, pending } => {
-                    last_seq_ack = Some((seq, queued, pending));
-                }
-                JournalRecord::Begin { .. }
-                | JournalRecord::Step { .. }
-                | JournalRecord::Recovered { .. } => {}
-            }
-        }
-        let Some(scenario) = scenario else {
-            return Err(ServeError::state("journal has no SessionScenario record"));
-        };
-        let trace = Trace { version: Trace::FORMAT_VERSION, scenario, events };
-
-        // The Begin record fingerprinted the scenario-only shell; verify
-        // against it so a swapped journal cannot masquerade.
-        let shell = Trace { events: Vec::new(), ..trace.clone() };
-        if scan.trace_fingerprint != shell.fingerprint() {
-            return Err(ServeError::state(format!(
-                "journal was recorded against scenario {:#018x}, not {:#018x}",
-                scan.trace_fingerprint,
-                shell.fingerprint()
-            )));
-        }
-
         failpoint("snapshot.load")?;
-        let mut runtime = match last_snapshot {
-            Some(snapshot) => {
-                Runtime::restore(snapshot, &trace).map_err(|e| ServeError::state(e.to_string()))?
-            }
-            None => Runtime::from_trace(&trace, scan.config)
-                .map_err(|e| ServeError::state(e.to_string()))?,
-        };
+        let recovery = tacc_chaos::recover(&path, RecoveryPolicy::Strict)
+            .map_err(|e| ServeError::state(e.to_string()))?;
+        let (trace, mut runtime) = (recovery.trace, recovery.runtime);
         // Replay every journaled event past the restore point; the state
         // after this is byte-identical to an uninterrupted session that
         // flushed the same events.
@@ -257,7 +206,7 @@ impl Session {
         // Restore the seq-dedup state from the journaled acknowledgement:
         // an acked burst re-sent across the crash (or a failover) is
         // answered from here instead of journaled twice.
-        let (last_seq, last_ack) = match last_seq_ack {
+        let (last_seq, last_ack) = match recovery.seq_ack {
             Some((seq, queued, pending)) => (
                 seq,
                 Some(Response::Accepted { queued: queued as usize, pending: pending as usize }),
@@ -447,9 +396,9 @@ impl Session {
         })
     }
 
-    /// Applies every pending event in one coalesced pass and journals
-    /// the progress (a `Step` high-water mark, plus a `Snapshot` on the
-    /// configured cadence).
+    /// Applies every pending event in one coalesced pass, journaling a
+    /// `Snapshot` when the configured cadence is due. The events
+    /// themselves were journaled when they were accepted.
     ///
     /// # Errors
     ///
@@ -472,14 +421,14 @@ impl Session {
         tacc_obs::counter_add("serve.events_applied", applied);
 
         if let Some(journal) = self.journal.as_mut() {
-            let mut records = vec![JournalRecord::Step { index: cursor - 1 }];
             if self.cfg.snapshot_every > 0 && self.applied_since_snapshot >= self.cfg.snapshot_every
             {
                 failpoint("snapshot.save")?;
-                records.push(JournalRecord::Snapshot { snapshot: self.runtime.snapshot() });
+                journal
+                    .append(&JournalRecord::Snapshot { snapshot: self.runtime.snapshot() })
+                    .map_err(|e| ServeError::state(e.to_string()))?;
                 self.applied_since_snapshot = 0;
             }
-            journal.append_batch(&records).map_err(|e| ServeError::state(e.to_string()))?;
         }
         self.record_stream(
             "flush",
