@@ -1,16 +1,18 @@
 //! Criterion micro-bench: serial vs parallel delay-matrix derivation.
 //!
-//! Pins the speedup claim of the `tacc-par` layer: the per-server SSSP
-//! fan-out in [`Topology::delay_matrix`] against the single-threaded
-//! reference lane, at explicit worker counts. Both lanes run the same
-//! cached-cost CSR kernel, so the ratio isolates the scheduling overhead
-//! (1 worker) and the scaling (N workers) — outputs are bit-for-bit
-//! identical either way.
+//! Pins the speedup claim of the `tacc-par` layer and the compressed
+//! CSR kernel: the per-server SSSP fan-out in [`Topology::delay_matrix`]
+//! at explicit worker counts, against the `serial` lane — a fresh
+//! [`DelayMaintainer`], one adjacency-list `SsspTree::build` per server
+//! on the calling thread. `par1` against `serial` isolates the kernel;
+//! `parN` against `par1` isolates the scaling. Outputs are bit-for-bit
+//! identical in every lane.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::hint::black_box;
+use tacc_runtime::DelayMaintainer;
 use tacc_topology::generators::{RandomGeometric, TopologyGenerator};
 use tacc_topology::{DelayModel, Topology};
 
@@ -32,7 +34,7 @@ fn bench_delay_matrix_par(c: &mut Criterion) {
     for &(n, m) in &[(400usize, 16usize), (1600, 32)] {
         let topo = topology(n, m, 32);
         group.bench_with_input(BenchmarkId::new("serial", format!("{n}x{m}")), &n, |b, _| {
-            b.iter(|| black_box(topo.delay_matrix_serial(&model)));
+            b.iter(|| black_box(DelayMaintainer::new(&topo, model.clone())));
         });
         for threads in [1usize, 2, 4] {
             group.bench_with_input(

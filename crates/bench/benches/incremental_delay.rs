@@ -2,10 +2,11 @@
 //! recompute — the per-event cost that makes the online runtime viable.
 //!
 //! `drift/incremental` repairs the affected shortest-path trees in place
-//! after a single link-latency change; `drift/full` rebuilds every tree
-//! (what the runtime's `full_recompute` fallback does); `fail_recover`
-//! measures a server-failure + recovery round trip through the
-//! incremental path.
+//! after a single link-latency change (on a clone of a built maintainer;
+//! the clone is inside the timed loop); `drift/full` instead builds a
+//! fresh maintainer (every tree from scratch) on the drifted topology;
+//! `fail_recover` measures a server-failure + recovery round trip
+//! through the incremental path.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::SeedableRng;
@@ -27,25 +28,30 @@ fn topology(num_iot: usize, num_servers: usize, routers: usize) -> Topology {
         .expect("generate")
 }
 
-/// One drift event on a mid-range link, through a fresh maintainer.
-fn drift_once(topology: &Topology, full_mode: bool) {
+/// `topology` with a mid-range link drifted to 1.5× its latency, and
+/// that link.
+fn drifted(topology: &Topology) -> (Topology, LinkId) {
     let mut topo = topology.clone();
-    let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), full_mode);
     let link: LinkId = topo.graph().link_id(topo.graph().link_count() / 2);
     let base = topo.graph().link(link).latency_ms();
     topo.set_link_latency(link, base * 1.5).expect("valid latency");
-    black_box(maintainer.drift(&topo, link));
+    (topo, link)
 }
 
 fn bench_drift(c: &mut Criterion) {
     let mut group = c.benchmark_group("drift");
     for &(n, m, r) in &[(100usize, 10usize, 16usize), (400, 20, 32)] {
         let topo = topology(n, m, r);
+        let (after, link) = drifted(&topo);
+        let maintainer = DelayMaintainer::new(&topo, DelayModel::default());
         group.bench_with_input(BenchmarkId::new("incremental", format!("{n}x{m}")), &n, |b, _| {
-            b.iter(|| drift_once(&topo, false))
+            b.iter(|| {
+                let mut repaired = maintainer.clone();
+                black_box(repaired.drift(&after, link))
+            })
         });
         group.bench_with_input(BenchmarkId::new("full", format!("{n}x{m}")), &n, |b, _| {
-            b.iter(|| drift_once(&topo, true));
+            b.iter(|| black_box(DelayMaintainer::new(&after, DelayModel::default())));
         });
     }
     group.finish();
@@ -55,7 +61,7 @@ fn bench_fail_recover(c: &mut Criterion) {
     let mut group = c.benchmark_group("fail_recover");
     for &(n, m, r) in &[(100usize, 10usize, 16usize), (400, 20, 32)] {
         let topo = topology(n, m, r);
-        let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
+        let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default());
         group.bench_with_input(BenchmarkId::from_parameter(format!("{n}x{m}")), &n, |b, _| {
             b.iter(|| {
                 black_box(maintainer.fail_server(&topo, 0));

@@ -72,8 +72,7 @@ fn run_static(trace: &Trace, seed: u64) -> Accum {
         (0..scenario.instance().num_devices()).map(|d| runtime.cluster().server_of(d)).collect();
 
     let mut topology = scenario.topology().clone();
-    let mut maintainer =
-        DelayMaintainer::new(&topology, RuntimeConfig::default().delay_model, false);
+    let mut maintainer = DelayMaintainer::new(&topology, RuntimeConfig::default().delay_model);
     let mut wanted = vec![true; home.len()];
     let mut accum = Accum::default();
 

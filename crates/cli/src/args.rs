@@ -40,9 +40,11 @@ impl Args {
         self.values.get(key).map(String::as_str)
     }
 
-    /// A parsed numeric value, or `default` when absent.
+    /// A parsed numeric value, or `default` when absent. A key given
+    /// as a bare switch (`--budget --seed 1`) is an error, not absent.
     pub fn num_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, String> {
         match self.values.get(key) {
+            None if self.has(key) => Err(format!("--{key} needs a value")),
             None => Ok(default),
             Some(raw) => raw.parse().map_err(|_| format!("--{key} got `{raw}`, expected a number")),
         }
@@ -86,5 +88,13 @@ mod tests {
         assert!(Args::parse(&argv(&["positional"])).is_err());
         let a = Args::parse(&argv(&["--devices", "abc"])).unwrap();
         assert!(a.num_or("devices", 0usize).is_err());
+        // A numeric flag followed by another flag has no value: refuse it
+        // rather than fall back to the default.
+        for argv_ in [&["--budget", "--stop-after", "20"][..], &["--stop-after", "20", "--budget"]]
+        {
+            let a = Args::parse(&argv(argv_)).unwrap();
+            assert_eq!(a.num_or("budget", 4usize), Err("--budget needs a value".to_owned()));
+            assert_eq!(a.num_or("stop-after", 0u64), Ok(20));
+        }
     }
 }

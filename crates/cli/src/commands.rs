@@ -12,7 +12,7 @@ use tacc_core::workload::{
 };
 use tacc_core::{Algorithm, ClusterConfigurator};
 use tacc_guard::{validate, Budget, QuarantineReport, Supervisor, SupervisorConfig};
-use tacc_runtime::{ReassignPolicy, Runtime, RuntimeConfig, RuntimeSnapshot};
+use tacc_runtime::{DelayMaintainer, ReassignPolicy, Runtime, RuntimeConfig, RuntimeSnapshot};
 use tacc_zone::{dense_solve, RouterConfig, ZoneLayout, ZoneRouting, ZonedSolution};
 
 use crate::args::Args;
@@ -95,7 +95,6 @@ run-trace only:
   --policy NAME      greedy | q-learning        [default greedy]
   --budget N         migrations per reconfiguration pass [default 4]
   --refresh-every N  policy re-solve cadence    [default 0 = never]
-  --full-recompute   rebuild all shortest paths per change
   --stop-after N     process only the first N events
   --snapshot-out F   write a resumable snapshot when stopping
   --resume FILE      resume from a snapshot (its config wins)
@@ -755,7 +754,6 @@ fn runtime_config_from(args: &Args) -> Result<RuntimeConfig, String> {
         seed: args.num_or("seed", 42u64)?,
         migration_budget: args.num_or("budget", 4usize)?,
         refresh_every: (refresh > 0).then_some(refresh),
-        full_recompute: args.has("full-recompute"),
         ..RuntimeConfig::default()
     })
 }
@@ -1336,25 +1334,18 @@ fn bench_delay_matrix(
         // The SSSP kernel the fast lane dispatches to on this snapshot
         // (bucket queue unless the weight range is pathological).
         let kernel = format!("compressed-{}", topo.compressed_core(&model).core().kernel_name());
-        let (serial_ms, serial) = best_of_ms(reps, || topo.delay_matrix_serial(&model));
-        let (heap_ms, heap) = best_of_ms(reps, || {
-            topo.delay_matrix_with_threads_kernel(
-                &model,
-                threads,
-                tacc_core::topology::MatrixKernel::FullHeap,
-            )
-        });
+        // The adjacency-list lane: one reference `SsspTree::build` per
+        // server, on the calling thread.
+        let (serial_ms, serial) = best_of_ms(reps, || DelayMaintainer::new(topo, model.clone()));
         let (parallel_ms, parallel) =
             best_of_ms(reps, || topo.delay_matrix_with_threads(&model, threads));
-        let identical = serial.iter().map(f64::to_bits).eq(parallel.iter().map(f64::to_bits))
-            && serial.iter().map(f64::to_bits).eq(heap.iter().map(f64::to_bits));
+        let identical =
+            serial.matrix().iter().map(f64::to_bits).eq(parallel.iter().map(f64::to_bits));
         rows.push(serde_json::json!({
             "devices": devices,
             "servers": servers,
             "kernel": kernel,
             "serial_ms": serial_ms,
-            "heap_ms": heap_ms,
-            "bucket_ms": parallel_ms,
             "parallel_ms": parallel_ms,
             "speedup": serial_ms / parallel_ms,
             "identical": identical,
@@ -2129,6 +2120,7 @@ mod tests {
         for row in rows {
             assert_eq!(row.get("identical"), Some(&Value::Bool(true)));
             assert!(matches!(row.get("serial_ms"), Some(Value::Float(ms)) if *ms > 0.0));
+            assert!(matches!(row.get("parallel_ms"), Some(Value::Float(ms)) if *ms > 0.0));
         }
         let solvers = load("BENCH_solvers.json");
         assert_eq!(solvers.get("identical"), Some(&Value::Bool(true)));

@@ -68,8 +68,8 @@ fn bench_reports_keep_their_schema() {
     assert_eq!(
         schema(&load(&dir.join("BENCH_delay_matrix.json"))),
         "{bench:str,git_rev:str,threads:uint,reps:uint,\
-         sizes:[{devices:uint,servers:uint,kernel:str,serial_ms:float,heap_ms:float,\
-         bucket_ms:float,parallel_ms:float,speedup:float,identical:bool}]}"
+         sizes:[{devices:uint,servers:uint,kernel:str,serial_ms:float,\
+         parallel_ms:float,speedup:float,identical:bool}]}"
     );
     assert_eq!(
         schema(&load(&dir.join("BENCH_solvers.json"))),

@@ -15,8 +15,7 @@
 //!    the affected shortest-path trees
 //!    ([`tacc_topology::incremental`]) and proves (in debug builds, and
 //!    via an explicit oracle) that the result is bit-for-bit what a full
-//!    recompute would produce. A full-recompute fallback is one config
-//!    flag away.
+//!    recompute would produce.
 //! 2. **The assignment**, under a migration budget: joins place onto the
 //!    cheapest feasible alive server, failed servers are evacuated
 //!    highest-priority-first, and every delay change is followed by a

@@ -2,13 +2,13 @@
 //!
 //! [`DelayMaintainer`] owns one [`SsspTree`] per edge server plus the
 //! effective per-link cost array, and repairs both in place as link
-//! latencies drift and servers fail or recover. In incremental mode only
-//! the shortest-path trees actually affected by a change are re-relaxed
-//! (debug builds — and release builds running under `TACC_CHECK=1`, see
-//! [`crate::check`] — assert agreement with a from-scratch Dijkstra
-//! after every repair); the full-recompute fallback rebuilds every tree
-//! on every change and serves as the correctness oracle and worst-case
-//! bound.
+//! latencies drift and servers fail or recover. Only the parts of the
+//! shortest-path trees a change actually affects are re-relaxed (debug
+//! builds — and release builds running under `TACC_CHECK=1`, see
+//! [`crate::check`] — assert agreement with a from-scratch
+//! [`SsspTree::build`] after every repair). The work of one full rebuild
+//! of every tree, measured at construction, is the baseline the repairs
+//! are reported against.
 //!
 //! Server failure is modeled as *node* failure (matching
 //! [`tacc_topology::Topology::with_failed_node`]): every link incident to
@@ -36,52 +36,29 @@ pub struct DelayMaintainer {
     disabled: Vec<u32>,
     /// Effective costs: `base_costs` with disabled links at infinity.
     costs: Vec<f64>,
-    /// One tree per server column, in role order.
+    /// One tree per server, in role order.
     trees: Vec<SsspTree>,
     matrix: DelayMatrix,
     failed: Vec<bool>,
-    /// Fallback mode: rebuild every tree from scratch on every change.
-    full_mode: bool,
     /// Work of one full rebuild of all trees (measured at construction) —
     /// the baseline that incremental savings are reported against.
     baseline: UpdateStats,
 }
 
 impl DelayMaintainer {
-    /// Builds the trees and matrix for a healthy topology.
-    pub fn new(topology: &Topology, model: DelayModel, full_mode: bool) -> Self {
-        let columns: Vec<usize> = (0..topology.num_servers()).collect();
-        Self::new_scoped(topology, model, full_mode, &columns)
-    }
-
-    /// Builds a maintainer that keeps trees and matrix columns only for
-    /// the listed server indices (a zone's members), in the given
-    /// order. Everything downstream — drift repair, failure handling,
-    /// the oracle impl — works in *column* space: column `c` is server
-    /// `columns[c]` of the topology. A scoped column is bit-identical
-    /// to the corresponding column of an unscoped maintainer fed the
-    /// same events, because each tree only depends on its own source
-    /// and the shared link costs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `columns` is empty or any index is out of range.
-    pub fn new_scoped(
-        topology: &Topology,
-        model: DelayModel,
-        full_mode: bool,
-        columns: &[usize],
-    ) -> Self {
-        assert!(!columns.is_empty(), "a maintainer needs at least one server column");
+    /// Builds the trees and matrix for a healthy topology: one
+    /// [`SsspTree::build`] per edge server.
+    pub fn new(topology: &Topology, model: DelayModel) -> Self {
         let graph = topology.graph();
         let base_costs: Vec<f64> =
             graph.links().map(|(_, link)| model.link_delay_ms(link)).collect();
         let costs = base_costs.clone();
         let mut baseline = UpdateStats::default();
-        let trees: Vec<SsspTree> = columns
+        let trees: Vec<SsspTree> = topology
+            .server_nodes()
             .iter()
             .map(|&server| {
-                let (tree, stats) = SsspTree::build(graph, topology.server_nodes()[server], &costs);
+                let (tree, stats) = SsspTree::build(graph, server, &costs);
                 baseline.absorb(stats);
                 tree
             })
@@ -94,8 +71,7 @@ impl DelayMaintainer {
             costs,
             trees,
             matrix,
-            failed: vec![false; columns.len()],
-            full_mode,
+            failed: vec![false; topology.num_servers()],
             baseline,
         }
     }
@@ -110,7 +86,7 @@ impl DelayMaintainer {
         &self.model
     }
 
-    /// Whether server column `server` is currently failed.
+    /// Whether server `server` is currently failed.
     ///
     /// # Panics
     ///
@@ -200,9 +176,7 @@ impl DelayMaintainer {
         server: usize,
         disable: bool,
     ) -> UpdateStats {
-        // Column space, not topology space: a scoped maintainer's
-        // column `server` may sit on any topology server node.
-        let node = self.matrix.server_node(server);
+        let node = topology.server_nodes()[server];
         let incident: Vec<LinkId> =
             topology.graph().neighbors(node).iter().map(|n| n.link).collect();
         let mut total = UpdateStats::default();
@@ -226,27 +200,22 @@ impl DelayMaintainer {
         total
     }
 
-    /// Repairs every tree after `costs[link]` changed from `old_cost`,
-    /// honoring the full-recompute fallback mode.
+    /// Repairs every tree after `costs[link]` changed from `old_cost`.
     fn repair(&mut self, topology: &Topology, link: LinkId, old_cost: f64) -> UpdateStats {
         let graph = topology.graph();
         let mut total = UpdateStats::default();
         for tree in &mut self.trees {
-            if self.full_mode {
-                total.absorb(tree.rebuild(graph, &self.costs));
-            } else {
-                total.absorb(tree.apply_cost_change(graph, &self.costs, link, old_cost));
-                // The full-recompute oracle: always in debug builds, and
-                // in release builds when TACC_CHECK=1 — so an
-                // incremental-repair drift bug cannot hide behind
-                // `--release` (see `crate::check`).
-                if cfg!(debug_assertions) || crate::check::enabled() {
-                    assert!(
-                        tree.matches_full(graph, &self.costs),
-                        "incremental repair diverged from full Dijkstra for server at {:?}",
-                        tree.source()
-                    );
-                }
+            total.absorb(tree.apply_cost_change(graph, &self.costs, link, old_cost));
+            // The full-recompute oracle: always in debug builds, and in
+            // release builds when TACC_CHECK=1 — so an incremental-repair
+            // drift bug cannot hide behind `--release` (see
+            // `crate::check`).
+            if cfg!(debug_assertions) || crate::check::enabled() {
+                assert!(
+                    tree.matches_full(graph, &self.costs),
+                    "incremental repair diverged from full Dijkstra for server at {:?}",
+                    tree.source()
+                );
             }
         }
         total
@@ -254,40 +223,18 @@ impl DelayMaintainer {
 
     /// Correctness oracle: the maintained matrix must equal the one
     /// derived from scratch on the equivalent degraded topology (failed
-    /// servers' nodes disconnected). Used by tests and debug assertions.
-    // The contract is *bit-for-bit* agreement, so exact comparison is
-    // the point, not an accident.
-    #[allow(clippy::float_cmp)]
+    /// servers' nodes disconnected), bit for bit. Used by tests and debug
+    /// assertions.
     pub fn matches_full_recompute(&self, topology: &Topology) -> bool {
         let mut degraded = topology.clone();
         for (server, &failed) in self.failed.iter().enumerate() {
             if failed {
-                degraded = degraded.with_failed_node(self.matrix.server_node(server));
+                degraded = degraded.with_failed_node(topology.server_nodes()[server]);
             }
         }
-        let fresh = degraded.delay_matrix(&self.model);
-        // Map each maintained column to its topology server index — the
-        // identity for an unscoped maintainer, the member list for a
-        // scoped one.
-        let global: Vec<usize> = (0..self.matrix.num_servers())
-            .map(|j| {
-                let node = self.matrix.server_node(j);
-                topology
-                    .server_nodes()
-                    .iter()
-                    .position(|&s| s == node)
-                    .expect("maintained columns are topology servers")
-            })
-            .collect();
         // with_failed_node reassigns link ids, so compare matrices (the
         // externally visible product), not trees.
-        (0..self.matrix.num_iot()).all(|i| {
-            global.iter().enumerate().all(|(j, &gj)| {
-                let a = self.matrix.get(i, j);
-                let b = fresh.get(i, gj);
-                a == b || (a.is_infinite() && b.is_infinite())
-            })
-        })
+        self.matrix == degraded.delay_matrix(&self.model)
     }
 }
 
@@ -316,8 +263,7 @@ impl DelayOracle for DelayMaintainer {
 }
 
 /// Reads the matrix out of the trees. Columns of failed servers come out
-/// infinite because all their incident links do. Column nodes come from
-/// the tree sources, so scoped maintainers get exactly their columns.
+/// infinite because all their incident links do.
 fn matrix_from_trees(trees: &[SsspTree], topology: &Topology) -> DelayMatrix {
     let rows: Vec<Vec<f64>> = topology
         .iot_nodes()
@@ -327,7 +273,7 @@ fn matrix_from_trees(trees: &[SsspTree], topology: &Topology) -> DelayMatrix {
     DelayMatrix::from_rows_with_nodes(
         rows,
         topology.iot_nodes().to_vec(),
-        trees.iter().map(SsspTree::source).collect(),
+        topology.server_nodes().to_vec(),
     )
 }
 
@@ -351,7 +297,7 @@ mod tests {
     fn initial_matrix_matches_topology_derivation() {
         let topo = topology();
         let model = DelayModel::default();
-        let maintainer = DelayMaintainer::new(&topo, model.clone(), false);
+        let maintainer = DelayMaintainer::new(&topo, model.clone());
         assert_eq!(maintainer.matrix(), &topo.delay_matrix(&model));
     }
 
@@ -359,7 +305,7 @@ mod tests {
     fn drift_tracks_full_recompute() {
         let mut topo = topology();
         let model = DelayModel::default();
-        let mut maintainer = DelayMaintainer::new(&topo, model.clone(), false);
+        let mut maintainer = DelayMaintainer::new(&topo, model.clone());
         for (step, raw) in [(0usize, 9.0f64), (3, 0.1), (7, 4.5), (3, 2.0)] {
             let link = topo.graph().link_id(step % topo.graph().link_count());
             topo.set_link_latency(link, raw).unwrap();
@@ -372,7 +318,7 @@ mod tests {
     fn fail_and_recover_round_trip() {
         let topo = topology();
         let model = DelayModel::default();
-        let mut maintainer = DelayMaintainer::new(&topo, model.clone(), false);
+        let mut maintainer = DelayMaintainer::new(&topo, model.clone());
         let before = maintainer.matrix().clone();
 
         maintainer.fail_server(&topo, 1);
@@ -391,7 +337,7 @@ mod tests {
     #[test]
     fn overlapping_failures_reference_count_links() {
         let topo = topology();
-        let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
+        let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default());
         let before = maintainer.matrix().clone();
         maintainer.fail_server(&topo, 0);
         maintainer.fail_server(&topo, 2);
@@ -406,7 +352,7 @@ mod tests {
     fn drift_on_failed_link_applies_after_recovery() {
         let mut topo = topology();
         let model = DelayModel::default();
-        let mut maintainer = DelayMaintainer::new(&topo, model.clone(), false);
+        let mut maintainer = DelayMaintainer::new(&topo, model.clone());
         let node = topo.server_nodes()[2];
         let link = topo.graph().neighbors(node)[0].link;
 
@@ -420,22 +366,19 @@ mod tests {
     }
 
     #[test]
-    fn full_mode_agrees_with_incremental() {
-        let mut topo_a = topology();
-        let mut topo_b = topology();
-        let mut inc = DelayMaintainer::new(&topo_a, DelayModel::default(), false);
-        let mut full = DelayMaintainer::new(&topo_b, DelayModel::default(), true);
-        let link_count = topo_a.graph().link_count();
+    fn incremental_drift_settles_no_more_than_a_full_rebuild() {
+        let mut topo = topology();
+        let model = DelayModel::default();
+        let mut inc = DelayMaintainer::new(&topo, model.clone());
+        let baseline = inc.full_rebuild_baseline();
+        let link_count = topo.graph().link_count();
         for step in 0..6 {
-            let link_a = topo_a.graph().link_id(step * 3 % link_count);
-            let link_b = topo_b.graph().link_id(step * 3 % link_count);
-            topo_a.set_link_latency(link_a, 1.0 + step as f64).unwrap();
-            topo_b.set_link_latency(link_b, 1.0 + step as f64).unwrap();
-            let inc_stats = inc.drift(&topo_a, link_a);
-            let full_stats = full.drift(&topo_b, link_b);
-            assert_eq!(inc.matrix(), full.matrix());
+            let link = topo.graph().link_id(step * 3 % link_count);
+            topo.set_link_latency(link, 1.0 + step as f64).unwrap();
+            let stats = inc.drift(&topo, link);
+            assert_eq!(inc.matrix(), &topo.delay_matrix(&model));
             assert!(
-                inc_stats.settled <= full_stats.settled,
+                stats.settled <= baseline.settled,
                 "incremental repair must not settle more than a rebuild"
             );
         }
@@ -445,7 +388,7 @@ mod tests {
     fn oracle_answers_match_the_maintained_matrix_bit_for_bit() {
         let mut topo = topology();
         let model = DelayModel::default();
-        let mut maintainer = DelayMaintainer::new(&topo, model, false);
+        let mut maintainer = DelayMaintainer::new(&topo, model);
         let link = topo.graph().link_id(1);
         topo.set_link_latency(link, 3.75).unwrap();
         maintainer.drift(&topo, link);
@@ -466,63 +409,9 @@ mod tests {
     }
 
     #[test]
-    fn scoped_columns_are_bitwise_equal_to_the_full_maintainer() {
-        let mut topo = topology();
-        let model = DelayModel::default();
-        let columns = [3usize, 1];
-        let mut full = DelayMaintainer::new(&topo, model.clone(), false);
-        let mut scoped = DelayMaintainer::new_scoped(&topo, model, false, &columns);
-        assert_eq!(scoped.matrix().num_servers(), columns.len());
-
-        let check = |full: &DelayMaintainer, scoped: &DelayMaintainer, what: &str| {
-            for (c, &j) in columns.iter().enumerate() {
-                assert_eq!(
-                    scoped.matrix().server_node(c),
-                    full.matrix().server_node(j),
-                    "{what}: column {c} node"
-                );
-                for i in 0..full.matrix().num_iot() {
-                    assert_eq!(
-                        scoped.matrix().get(i, c).to_bits(),
-                        full.matrix().get(i, j).to_bits(),
-                        "{what}: entry ({i}, {j})"
-                    );
-                }
-            }
-            assert!(
-                scoped
-                    .link_costs()
-                    .iter()
-                    .map(|c| c.to_bits())
-                    .eq(full.link_costs().iter().map(|c| c.to_bits())),
-                "{what}: link costs diverged"
-            );
-        };
-        check(&full, &scoped, "initial");
-
-        let link = topo.graph().link_id(2);
-        topo.set_link_latency(link, 6.5).unwrap();
-        full.drift(&topo, link);
-        scoped.drift(&topo, link);
-        check(&full, &scoped, "after drift");
-
-        // Server 3 is column 0 of the scoped maintainer.
-        full.fail_server(&topo, 3);
-        scoped.fail_server(&topo, 0);
-        assert!(scoped.is_failed(0));
-        assert!(scoped.matches_full_recompute(&topo));
-        check(&full, &scoped, "after failure");
-
-        full.recover_server(&topo, 3);
-        scoped.recover_server(&topo, 0);
-        assert!(scoped.matches_full_recompute(&topo));
-        check(&full, &scoped, "after recovery");
-    }
-
-    #[test]
     fn snapshot_round_trip_is_exact() {
         let mut topo = topology();
-        let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default(), false);
+        let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default());
         let link = topo.graph().link_id(2);
         topo.set_link_latency(link, 7.25).unwrap();
         maintainer.drift(&topo, link);

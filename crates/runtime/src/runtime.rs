@@ -81,9 +81,6 @@ pub struct RuntimeConfig {
     /// Per-device priorities governing shedding (higher sheds later).
     /// Empty means all `1.0`.
     pub priorities: Vec<f64>,
-    /// Delay-maintenance fallback: rebuild every shortest-path tree on
-    /// every change instead of incremental repair.
-    pub full_recompute: bool,
     /// Link-delay model; must match the one the scenario's instance was
     /// derived with.
     pub delay_model: DelayModel,
@@ -91,7 +88,7 @@ pub struct RuntimeConfig {
 
 impl Default for RuntimeConfig {
     /// Greedy policy, seed 0, budget 4, no periodic refresh, uniform
-    /// priorities, incremental maintenance, default delay model.
+    /// priorities, default delay model.
     fn default() -> Self {
         RuntimeConfig {
             policy: ReassignPolicy::Greedy,
@@ -99,7 +96,6 @@ impl Default for RuntimeConfig {
             migration_budget: 4,
             refresh_every: None,
             priorities: Vec::new(),
-            full_recompute: false,
             delay_model: DelayModel::default(),
         }
     }
@@ -205,11 +201,7 @@ impl Runtime {
             config.priorities.clone()
         };
 
-        let maintainer = DelayMaintainer::new(
-            scenario.topology(),
-            config.delay_model.clone(),
-            config.full_recompute,
-        );
+        let maintainer = DelayMaintainer::new(scenario.topology(), config.delay_model.clone());
         if maintainer.matrix() != scenario.instance().delays() {
             return Err(RuntimeError::InvalidConfig {
                 reason: "delay model does not reproduce the scenario's delay matrix".to_owned(),

@@ -4,9 +4,6 @@
 //! - Incremental delay maintenance is bit-for-bit equal to a full
 //!   recompute after *any* generated event sequence, on every topology
 //!   family.
-//! - The full-recompute fallback mode produces the exact same visible
-//!   behavior (matrix, assignment, event/migration accounting) as
-//!   incremental mode — they differ only in repair work performed.
 //! - Interrupting a replay with snapshot → JSON → restore at any cut
 //!   point changes nothing: the resumed run ends byte-identical to an
 //!   uninterrupted one.
@@ -52,31 +49,15 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// After every event sequence, the incrementally maintained matrix
-    /// equals a from-scratch recompute on the degraded topology, and the
-    /// full-recompute fallback agrees with incremental mode on
-    /// everything an observer can see.
+    /// equals a from-scratch recompute on the degraded topology.
     #[test]
     fn incremental_equals_full_recompute((trace, _) in trace_and_cut()) {
-        let incremental = RuntimeConfig::default();
-        let full = RuntimeConfig { full_recompute: true, ..RuntimeConfig::default() };
-
-        let mut a = Runtime::from_trace(&trace, incremental).expect("runtime");
+        let mut a = Runtime::from_trace(&trace, RuntimeConfig::default()).expect("runtime");
         a.run(&trace).expect("replay");
         prop_assert!(
             a.maintainer().matches_full_recompute(a.topology()),
             "incremental matrix diverged from full recompute"
         );
-
-        let mut b = Runtime::from_trace(&trace, full).expect("runtime");
-        b.run(&trace).expect("replay");
-        prop_assert_eq!(a.maintainer().matrix(), b.maintainer().matrix());
-        prop_assert_eq!(a.cluster().assignment(), b.cluster().assignment());
-        let (ca, cb) = (&a.metrics().core, &b.metrics().core);
-        prop_assert_eq!(ca.events, cb.events);
-        prop_assert_eq!(ca.migrations, cb.migrations);
-        prop_assert_eq!(ca.evictions, cb.evictions);
-        // Incremental repair never does more settle work than rebuilds.
-        prop_assert!(ca.repair_work.settled <= cb.repair_work.settled);
     }
 
     /// Snapshot → JSON → restore at any cut point, then finishing the

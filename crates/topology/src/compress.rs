@@ -190,7 +190,7 @@ impl CompressedCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shortest_path::dijkstra;
+    use crate::incremental::SsspTree;
 
     /// Two servers, a router triangle, three leaf devices on distinct
     /// gateways, one multi-homed device (kept), and one isolated device
@@ -230,19 +230,21 @@ mod tests {
     }
 
     #[test]
-    fn distances_match_full_graph_dijkstra_bit_for_bit() {
+    fn distances_match_the_full_graph_reference_tree_bit_for_bit() {
         let (g, s, _) = mixed_graph();
         let core = CompressedCore::from_graph(&g, |l| l.latency_ms());
+        let costs: Vec<f64> = g.links().map(|(_, l)| l.latency_ms()).collect();
         let mut scratch = SsspScratch::new();
         for &server in &s {
-            let reference = dijkstra(&g, server, |l| l.latency_ms());
+            let (reference, _) = SsspTree::build(&g, server, &costs);
             let dist = core.sssp_into(server, &mut scratch).to_vec();
             for v in 0..g.node_count() {
-                let got = core.distance(&dist, NodeId(v as u32));
+                let node = NodeId(v as u32);
+                let got = core.distance(&dist, node);
                 assert!(
-                    got.to_bits() == reference[v].to_bits(),
+                    got.to_bits() == reference.distance(node).to_bits(),
                     "source {server}, node {v}: compressed {got} vs full {}",
-                    reference[v]
+                    reference.distance(node)
                 );
             }
         }

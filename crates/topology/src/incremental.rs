@@ -21,17 +21,20 @@
 //! operation reports [`UpdateStats`] — the runtime uses them to report
 //! incremental-vs-full work savings.
 //!
-//! The distances produced are *exactly* (bit-for-bit) those of a fresh
-//! [`dijkstra`](crate::shortest_path::dijkstra) run: both compute each
-//! distance as the same left-to-right sum of link costs along a
-//! shortest path, and both take exact minima over the same candidate
-//! set. [`SsspTree::matches_full`] checks this and backs the debug
-//! assertions in the runtime.
+//! [`SsspTree::build`] is the crate's one reference shortest-path
+//! kernel: a plain adjacency-list heap Dijkstra that every faster
+//! kernel ([`crate::csr::CsrGraph::sssp_into`], the bucket queue,
+//! [`crate::CompressedCore`]) is tested against bit for bit. A repaired
+//! tree holds *exactly* (bit-for-bit) the distances of a fresh build:
+//! both compute each distance as the same left-to-right sum of link
+//! costs along a shortest path, and both take exact minima over the
+//! same candidate set. [`SsspTree::matches_full`] checks this and backs
+//! the debug assertions in the runtime.
 
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
+use crate::csr::HeapEntry;
 use crate::{Graph, LinkId, NodeId};
 
 /// Work performed by one tree operation, in relaxation units.
@@ -48,33 +51,6 @@ impl UpdateStats {
     pub fn absorb(&mut self, other: UpdateStats) {
         self.settled += other.settled;
         self.edges_scanned += other.edges_scanned;
-    }
-}
-
-/// Min-heap entry (reversed for `BinaryHeap`); ties break on node index
-/// so heap order — and therefore floating-point settle order — is
-/// deterministic.
-#[derive(Debug, PartialEq)]
-struct HeapEntry {
-    cost: f64,
-    node: NodeId,
-}
-
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .cost
-            .partial_cmp(&self.cost)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| other.node.index().cmp(&self.node.index()))
-    }
-}
-
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -121,7 +97,8 @@ pub struct SsspTree {
 }
 
 impl SsspTree {
-    /// Builds the tree with a full Dijkstra run.
+    /// Builds the tree with a full Dijkstra run — the reference every
+    /// other shortest-path kernel in the crate is tested against.
     ///
     /// # Panics
     ///
@@ -134,7 +111,11 @@ impl SsspTree {
             dist: vec![f64::INFINITY; graph.node_count()],
             parent_link: vec![None; graph.node_count()],
         };
-        let stats = tree.rebuild(graph, costs);
+        tree.check_dimensions(graph, costs);
+        tree.dist[source.index()] = 0.0;
+        let mut heap = BinaryHeap::new();
+        heap.push(HeapEntry { cost: 0.0, node: source });
+        let stats = tree.run_dijkstra(graph, costs, heap);
         (tree, stats)
     }
 
@@ -158,16 +139,11 @@ impl SsspTree {
         &self.dist
     }
 
-    /// Recomputes the whole tree from scratch — the fallback path, and
-    /// the baseline that incremental repairs are measured against.
-    pub fn rebuild(&mut self, graph: &Graph, costs: &[f64]) -> UpdateStats {
-        self.check_dimensions(graph, costs);
-        self.dist.fill(f64::INFINITY);
-        self.parent_link.fill(None);
-        self.dist[self.source.index()] = 0.0;
-        let mut heap = BinaryHeap::new();
-        heap.push(HeapEntry { cost: 0.0, node: self.source });
-        self.run_dijkstra(graph, costs, heap)
+    /// Each node's tree-parent link, indexed by [`NodeId::index`] —
+    /// what the CSR route kernel's parent links are tested against.
+    #[cfg(test)]
+    pub(crate) fn parent_links(&self) -> &[Option<LinkId>] {
+        &self.parent_link
     }
 
     /// Repairs the tree after the cost of `changed` moved from

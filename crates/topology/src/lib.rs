@@ -17,17 +17,20 @@
 //! - [`generators`]: six seeded topology families (random geometric,
 //!   Erdős–Rényi, Barabási–Albert, hierarchical gateway tree, grid,
 //!   fat-tree).
-//! - [`shortest_path`]: Dijkstra, parallel multi-source all-pairs, and
-//!   the Floyd–Warshall test oracle.
-//! - [`csr`]: flat compressed-sparse-row graph snapshot with cached-cost
-//!   Dijkstra kernels — the hot-path engine behind
-//!   [`Topology::delay_matrix`] and [`routing::RoutingTable`].
-//! - [`incremental`]: shortest-path trees repaired in place after
-//!   link-cost drift or link failure, for the online runtime.
+//! - One shortest-path engine per job:
+//!   - [`CompressedCore`] over [`csr`]'s flat compressed-sparse-row
+//!     snapshot computes delay columns: [`Topology::delay_matrix`], the
+//!     [`AltOracle`] and the zone summaries;
+//!   - [`csr::CsrGraph::sssp_tree_into`] computes the routes of
+//!     [`routing::RoutingTable`];
+//!   - [`incremental::SsspTree`] keeps shortest-path trees repaired in
+//!     place after link-cost drift or link failure, for the online
+//!     runtime. Its [`incremental::SsspTree::build`] is also the one
+//!     reference every other kernel is tested against bit for bit.
 //!
 //! The shortest-path sweeps fan out over `tacc-par` workers
-//! (`TACC_THREADS` to override) and are bit-for-bit identical to their
-//! serial counterparts at any worker count.
+//! (`TACC_THREADS` to override) and are bit-for-bit identical at any
+//! worker count.
 //!
 //! # Example
 //!
@@ -69,7 +72,6 @@ mod graph;
 pub mod incremental;
 pub mod oracle;
 pub mod routing;
-pub mod shortest_path;
 mod topology;
 
 pub use compress::CompressedCore;
@@ -77,4 +79,4 @@ pub use delay::{DelayMatrix, DelayModel};
 pub use error::TopologyError;
 pub use graph::{Graph, Link, LinkId, Neighbor, Node, NodeId, NodeKind, Point};
 pub use oracle::{AltOracle, DelayOracle};
-pub use topology::{MatrixKernel, Topology};
+pub use topology::Topology;

@@ -1,25 +1,8 @@
 use serde::{Deserialize, Serialize};
 
 use crate::compress::CompressedCore;
-use crate::csr::{CsrGraph, SsspScratch};
-use crate::shortest_path::{dijkstra_into, DijkstraScratch};
+use crate::csr::SsspScratch;
 use crate::{DelayMatrix, DelayModel, Graph, NodeId, NodeKind, TopologyError};
-
-/// Which engine [`Topology::delay_matrix_with_threads_kernel`] uses to
-/// build the matrix. Both produce bit-for-bit identical results; they
-/// differ only in speed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum MatrixKernel {
-    /// The production fast path: leaf-compressed core snapshot
-    /// ([`CompressedCore`]) swept by the bucket-queue SSSP kernel (with
-    /// automatic heap fallback for pathological weight ranges).
-    Compressed,
-    /// The uncompressed CSR snapshot under the binary-heap kernel — the
-    /// pre-compression lane, kept as the per-kernel comparison column of
-    /// `tacc bench-report`.
-    FullHeap,
-}
 
 /// A network graph together with its IoT / edge-server role inventory.
 ///
@@ -84,13 +67,15 @@ impl Topology {
 
     /// Computes the IoT × server shortest-path delay matrix under `model`.
     ///
-    /// Runs one cached-cost CSR Dijkstra per edge server (servers are
-    /// typically far fewer than IoT devices), with link costs from
+    /// Runs one SSSP per edge server (servers are typically far fewer
+    /// than IoT devices) on the leaf-compressed core snapshot
+    /// ([`CompressedCore`]), with link costs from
     /// [`DelayModel::link_delay_ms`], fanned out over
     /// [`tacc_par::worker_count`] workers. The merge is by server index,
-    /// so the result is **bit-for-bit identical** to
-    /// [`Topology::delay_matrix_serial`] regardless of the worker count
-    /// (property-tested in `tests/par_equivalence.rs`). Unreachable pairs
+    /// so every column is **bit-for-bit identical** to the distances of
+    /// a [`crate::incremental::SsspTree::build`] from that server,
+    /// regardless of the worker count (property-tested in
+    /// `tests/par_equivalence.rs`). Unreachable pairs
     /// yield `f64::INFINITY`; call [`DelayMatrix::is_fully_reachable`] or
     /// [`Topology::validate_reachability`] to detect them.
     pub fn delay_matrix(&self, model: &DelayModel) -> DelayMatrix {
@@ -100,50 +85,22 @@ impl Topology {
     /// [`Topology::delay_matrix`] with an explicit worker count
     /// (1 = serial on the calling thread).
     pub fn delay_matrix_with_threads(&self, model: &DelayModel, threads: usize) -> DelayMatrix {
-        self.delay_matrix_with_threads_kernel(model, threads, MatrixKernel::Compressed)
-    }
-
-    /// [`Topology::delay_matrix_with_threads`] with an explicit engine
-    /// choice — the per-kernel timing lanes of `tacc bench-report`.
-    /// Every kernel produces the same matrix bit for bit.
-    pub fn delay_matrix_with_threads_kernel(
-        &self,
-        model: &DelayModel,
-        threads: usize,
-        kernel: MatrixKernel,
-    ) -> DelayMatrix {
         let n = self.iot.len();
         let m = self.servers.len();
+        let core = self.compressed_core(model);
         // One contiguous chunk of server columns per worker; each worker
         // reuses one scratch buffer across all its servers and returns
         // its columns server-major.
         let chunk = m.div_ceil(threads.max(1)).max(1);
-        let blocks = match kernel {
-            MatrixKernel::Compressed => {
-                let core = CompressedCore::from_graph(&self.graph, |l| model.link_delay_ms(l));
-                tacc_par::par_chunks_with(threads, &self.servers, chunk, |_, servers| {
-                    let mut scratch = SsspScratch::new();
-                    let mut columns = Vec::with_capacity(servers.len() * n);
-                    for &server in servers {
-                        let dist = core.sssp_into(server, &mut scratch);
-                        columns.extend(self.iot.iter().map(|&iot| core.distance(dist, iot)));
-                    }
-                    columns
-                })
+        let blocks = tacc_par::par_chunks_with(threads, &self.servers, chunk, |_, servers| {
+            let mut scratch = SsspScratch::new();
+            let mut columns = Vec::with_capacity(servers.len() * n);
+            for &server in servers {
+                let dist = core.sssp_into(server, &mut scratch);
+                columns.extend(self.iot.iter().map(|&iot| core.distance(dist, iot)));
             }
-            MatrixKernel::FullHeap => {
-                let csr = CsrGraph::from_graph(&self.graph, |l| model.link_delay_ms(l));
-                tacc_par::par_chunks_with(threads, &self.servers, chunk, |_, servers| {
-                    let mut scratch = SsspScratch::new();
-                    let mut columns = Vec::with_capacity(servers.len() * n);
-                    for &server in servers {
-                        let dist = csr.sssp_heap_into(server, &mut scratch);
-                        columns.extend(self.iot.iter().map(|iot| dist[iot.index()]));
-                    }
-                    columns
-                })
-            }
-        };
+            columns
+        });
         // Transpose the server-major blocks into the row-major matrix.
         let mut data = vec![f64::INFINITY; n * m];
         let mut j = 0usize;
@@ -159,29 +116,10 @@ impl Topology {
     }
 
     /// The leaf-compressed core snapshot of this topology under `model`
-    /// — the engine behind the fast delay-matrix path and the
+    /// — the engine behind the delay matrix and the
     /// [`crate::oracle::AltOracle`].
     pub fn compressed_core(&self, model: &DelayModel) -> CompressedCore {
         CompressedCore::from_graph(&self.graph, |l| model.link_delay_ms(l))
-    }
-
-    /// The serial adjacency-list reference implementation of
-    /// [`Topology::delay_matrix`]: one [`dijkstra_into`] run per edge
-    /// server through a reused scratch buffer. Kept as the baseline the
-    /// parallel CSR path is property-tested against, and as the
-    /// comparison lane of `tacc bench-report`.
-    pub fn delay_matrix_serial(&self, model: &DelayModel) -> DelayMatrix {
-        let n = self.iot.len();
-        let m = self.servers.len();
-        let mut data = vec![f64::INFINITY; n * m];
-        let mut scratch = DijkstraScratch::new();
-        for (j, &server) in self.servers.iter().enumerate() {
-            let dist = dijkstra_into(&self.graph, server, |l| model.link_delay_ms(l), &mut scratch);
-            for (i, &iot) in self.iot.iter().enumerate() {
-                data[i * m + j] = dist[iot.index()];
-            }
-        }
-        DelayMatrix::from_parts(data, self.iot.clone(), self.servers.clone())
     }
 
     /// Overwrites the propagation latency of one link — see
@@ -252,6 +190,7 @@ impl Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::incremental::SsspTree;
 
     /// iot0 -1ms- r0 -2ms- s0
     ///             \--4ms-- s1
@@ -360,14 +299,23 @@ mod tests {
     }
 
     #[test]
-    fn parallel_delay_matrix_equals_serial_reference() {
+    fn parallel_delay_matrix_equals_the_reference_trees() {
         let t = star();
         let model = DelayModel::new(100.0, 0.2);
-        let serial = t.delay_matrix_serial(&model);
+        let costs: Vec<f64> = t.graph().links().map(|(_, l)| model.link_delay_ms(l)).collect();
+        let reference: Vec<SsspTree> =
+            t.server_nodes().iter().map(|&s| SsspTree::build(t.graph(), s, &costs).0).collect();
+        let check = |dm: &DelayMatrix, what: &str| {
+            for (i, &iot) in t.iot_nodes().iter().enumerate() {
+                for (j, tree) in reference.iter().enumerate() {
+                    assert_eq!(dm.get(i, j).to_bits(), tree.distance(iot).to_bits(), "{what}");
+                }
+            }
+        };
         for threads in [1, 2, 3, 16] {
-            assert_eq!(t.delay_matrix_with_threads(&model, threads), serial, "t={threads}");
+            check(&t.delay_matrix_with_threads(&model, threads), &format!("t={threads}"));
         }
-        assert_eq!(t.delay_matrix(&model), serial);
+        check(&t.delay_matrix(&model), "default");
     }
 
     #[test]

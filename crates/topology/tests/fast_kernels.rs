@@ -1,63 +1,27 @@
-//! Property tests for the fast-path kernels: the bucket-queue SSSP, the
-//! leaf-compressed core, and the ALT delay oracle. All three carry a
-//! **bit-for-bit** contract against the heap Dijkstra reference — not a
-//! tolerance — across every topology-generator family, because they are
-//! drop-in replacements on paths whose outputs are pinned byte-identical
-//! (delay matrices, obs streams, snapshots).
+//! Property tests for the fast-path kernels: the CSR bucket-queue SSSP,
+//! the leaf-compressed core, and the ALT delay oracle. All three carry a
+//! **bit-for-bit** contract against the one reference kernel, the
+//! adjacency-list `SsspTree::build` — not a tolerance — across every
+//! topology-generator family, because their outputs are pinned
+//! byte-identical (delay matrices, obs streams, snapshots).
+
+mod common;
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
+use common::{family_topology, reference_distances};
 use tacc_topology::csr::{CsrGraph, SsspScratch};
-use tacc_topology::generators::{
-    BarabasiAlbert, ErdosRenyi, FatTree, Grid, HierarchicalTree, RandomGeometric, TopologyGenerator,
-};
-use tacc_topology::{AltOracle, CompressedCore, DelayModel, DelayOracle, Topology};
-
-/// One topology per generator family, seeded; mirrors the helper in
-/// `par_equivalence.rs`.
-fn family_topology(family: usize, seed: u64, n: usize, m: usize) -> Topology {
-    let rng = &mut ChaCha8Rng::seed_from_u64(seed);
-    match family {
-        0 => RandomGeometric::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        1 => ErdosRenyi::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        2 => BarabasiAlbert::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        3 => HierarchicalTree::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        4 => Grid::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        5 => FatTree::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        other => panic!("unknown family index {other}"),
-    }
-    .expect("generated topologies are valid")
-}
+use tacc_topology::{AltOracle, CompressedCore, DelayModel, DelayOracle};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// The bucket-queue kernel settles every node to exactly the
-    /// distance the heap kernel computes, from every node of every
-    /// family — including router/device sources the production sweeps
-    /// never use.
+    /// The CSR kernel (the bucket queue on every generated family)
+    /// settles every node to exactly the reference distance, from every
+    /// node of every family — including router/device sources the
+    /// production sweeps never use.
     #[test]
-    fn bucket_sssp_is_bitwise_heap_dijkstra(
+    fn csr_sssp_is_bitwise_the_reference_tree(
         family in 0usize..6,
         seed in 0u64..500,
         n in 4usize..16,
@@ -67,16 +31,16 @@ proptest! {
         let model = DelayModel::default();
         let csr = CsrGraph::from_graph(topo.graph(), |l| model.link_delay_ms(l));
         prop_assert_eq!(csr.kernel_name(), "bucket", "family={} has positive costs", family);
-        let mut heap_scratch = SsspScratch::new();
-        let mut bucket_scratch = SsspScratch::new();
+        let mut scratch = SsspScratch::new();
         for (source, _) in topo.graph().nodes() {
             let v = source.index();
-            let reference = csr.sssp_heap_into(source, &mut heap_scratch).to_vec();
-            let dist = csr.sssp_into(source, &mut bucket_scratch);
+            let reference = reference_distances(&topo, &model, source);
+            let dist = csr.sssp_into(source, &mut scratch);
+            prop_assert_eq!(dist.len(), reference.len());
             for (node, (&d, &r)) in dist.iter().zip(&reference).enumerate() {
                 prop_assert!(
                     d.to_bits() == r.to_bits(),
-                    "family={family} source={v} node={node}: bucket={d} heap={r}"
+                    "family={family} source={v} node={node}: csr={d} reference={r}"
                 );
             }
         }
@@ -94,18 +58,16 @@ proptest! {
         let topo = family_topology(family, seed, n, m);
         let model = DelayModel::default();
         let core = CompressedCore::from_graph(topo.graph(), |l| model.link_delay_ms(l));
-        let full = CsrGraph::from_graph(topo.graph(), |l| model.link_delay_ms(l));
-        let mut full_scratch = SsspScratch::new();
         let mut core_scratch = SsspScratch::new();
         for &server in topo.server_nodes() {
-            let reference = full.sssp_heap_into(server, &mut full_scratch).to_vec();
+            let reference = reference_distances(&topo, &model, server);
             let dist = core.sssp_into(server, &mut core_scratch).to_vec();
             for (node, _) in topo.graph().nodes() {
                 let v = node.index();
                 let got = core.distance(&dist, node);
                 prop_assert!(
                     got.to_bits() == reference[v].to_bits(),
-                    "family={family} source={:?} node={v}: compressed={got} full={}",
+                    "family={family} source={:?} node={v}: compressed={got} reference={}",
                     server, reference[v]
                 );
             }

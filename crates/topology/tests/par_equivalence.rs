@@ -2,66 +2,29 @@
 //! to their serial references — across every topology-generator family,
 //! at every worker count (1, a few, and heavily oversubscribed).
 //!
-//! This is the determinism contract of the `tacc-par` layer: the CSR
-//! kernels relax edges in the same order as the adjacency-list Dijkstra,
-//! and results merge by input index, so `f64::to_bits` equality must
-//! hold exactly — not within a tolerance.
+//! This is the determinism contract of the `tacc-par` layer: every
+//! per-server column equals the adjacency-list `SsspTree::build`
+//! reference, and results merge by input index, so `f64::to_bits`
+//! equality must hold exactly — not within a tolerance.
+
+mod common;
 
 use proptest::prelude::*;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
 
-use tacc_topology::csr::{CsrGraph, SsspScratch};
-use tacc_topology::generators::{
-    BarabasiAlbert, ErdosRenyi, FatTree, Grid, HierarchicalTree, RandomGeometric, TopologyGenerator,
-};
+use common::{family_topology, reference_distances};
 use tacc_topology::routing::RoutingTable;
-use tacc_topology::shortest_path::dijkstra;
-use tacc_topology::{DelayModel, Topology};
+use tacc_topology::DelayModel;
 
 /// 1 = forced serial, 2/5 = modest pools, 17 = more workers than
 /// servers (oversubscribed: most workers see an empty chunk).
 const THREADS: [usize; 4] = [1, 2, 5, 17];
 
-/// One topology per generator family, seeded; small enough that a
-/// property runs hundreds of cases in test time.
-fn family_topology(family: usize, seed: u64, n: usize, m: usize) -> Topology {
-    let rng = &mut ChaCha8Rng::seed_from_u64(seed);
-    match family {
-        0 => RandomGeometric::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        1 => ErdosRenyi::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        2 => BarabasiAlbert::builder()
-            .num_iot(n)
-            .num_servers(m)
-            .num_routers(8)
-            .build()
-            .unwrap()
-            .generate(rng),
-        3 => HierarchicalTree::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        4 => Grid::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        5 => FatTree::builder().num_iot(n).num_servers(m).build().unwrap().generate(rng),
-        other => panic!("unknown family index {other}"),
-    }
-    .expect("generated topologies are valid")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// `delay_matrix` fanned out over any worker count equals the
-    /// serial reference lane bit for bit, for every family.
+    /// serial reference trees (one `SsspTree::build` per server) bit for
+    /// bit, for every family.
     #[test]
     fn parallel_delay_matrix_is_bitwise_serial(
         family in 0usize..6,
@@ -71,44 +34,27 @@ proptest! {
     ) {
         let topo = family_topology(family, seed, n, m);
         let model = DelayModel::default();
-        let serial = topo.delay_matrix_serial(&model);
-        for threads in THREADS {
-            let par = topo.delay_matrix_with_threads(&model, threads);
-            prop_assert!(
-                serial.iter().map(f64::to_bits).eq(par.iter().map(f64::to_bits)),
-                "family={family} threads={threads}: parallel delay matrix diverged"
-            );
-        }
+        let columns: Vec<Vec<f64>> = topo
+            .server_nodes()
+            .iter()
+            .map(|&server| reference_distances(&topo, &model, server))
+            .collect();
         // The default entry point (worker count from the environment)
         // lands on the same matrix too.
-        let default = topo.delay_matrix(&model);
-        prop_assert!(serial.iter().map(f64::to_bits).eq(default.iter().map(f64::to_bits)));
-    }
-
-    /// The cached-cost CSR kernel settles every node to exactly the
-    /// distance the adjacency-list Dijkstra computes, from every server
-    /// source, for every family.
-    #[test]
-    fn csr_sssp_is_bitwise_dijkstra(
-        family in 0usize..6,
-        seed in 0u64..500,
-        n in 4usize..16,
-        m in 2usize..5,
-    ) {
-        let topo = family_topology(family, seed, n, m);
-        let model = DelayModel::default();
-        let csr = CsrGraph::from_graph(topo.graph(), |l| model.link_delay_ms(l));
-        let mut scratch = SsspScratch::new();
-        for &server in topo.server_nodes() {
-            let reference = dijkstra(topo.graph(), server, |l| model.link_delay_ms(l));
-            let dist = csr.sssp_into(server, &mut scratch);
-            prop_assert_eq!(dist.len(), reference.len());
-            for (v, (&d, &r)) in dist.iter().zip(&reference).enumerate() {
-                prop_assert!(
-                    d.to_bits() == r.to_bits(),
-                    "family={family} source={:?} node={v}: csr={d} dijkstra={r}",
-                    server
-                );
+        let lanes = THREADS
+            .iter()
+            .map(|&threads| (threads.to_string(), topo.delay_matrix_with_threads(&model, threads)))
+            .chain([("default".to_owned(), topo.delay_matrix(&model))]);
+        for (threads, par) in lanes {
+            for (i, iot) in topo.iot_nodes().iter().enumerate() {
+                for (j, column) in columns.iter().enumerate() {
+                    prop_assert!(
+                        par.get(i, j).to_bits() == column[iot.index()].to_bits(),
+                        "family={family} threads={threads} ({i},{j}): {} vs reference {}",
+                        par.get(i, j),
+                        column[iot.index()]
+                    );
+                }
             }
         }
     }

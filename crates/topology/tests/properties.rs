@@ -1,9 +1,10 @@
 //! Property-based tests of the topology substrate.
 //!
 //! Invariants checked:
-//! - Dijkstra distances satisfy the triangle inequality and match the
-//!   Floyd–Warshall oracle.
-//! - Shortest paths on undirected graphs are symmetric.
+//! - The reference Dijkstra (`SsspTree::build`) matches an independent
+//!   Floyd–Warshall oracle private to this file.
+//! - Production shortest paths (`CsrGraph::sssp_into`) are symmetric on
+//!   undirected graphs and satisfy the triangle inequality.
 //! - Delay matrices of generated topologies are finite, positive and
 //!   deterministic in the seed.
 
@@ -13,8 +14,9 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
+use tacc_topology::csr::{CsrGraph, SsspScratch};
 use tacc_topology::generators::{RandomGeometric, TopologyGenerator};
-use tacc_topology::shortest_path::{dijkstra, floyd_warshall};
+use tacc_topology::incremental::SsspTree;
 use tacc_topology::{DelayModel, Graph, NodeId, NodeKind};
 
 /// Builds a random connected graph from a proptest-provided edge list.
@@ -44,38 +46,86 @@ fn node_ids(g: &Graph) -> Vec<NodeId> {
     g.nodes().map(|(id, _)| id).collect()
 }
 
+/// Per-link latencies, the cost array of every check below.
+fn latencies(g: &Graph) -> Vec<f64> {
+    g.links().map(|(_, l)| l.latency_ms()).collect()
+}
+
+/// All-pairs distances by Floyd–Warshall: O(n³) and structurally
+/// unlike Dijkstra, so it is an independent oracle for the reference
+/// kernel. `dist[u][v]` is `f64::INFINITY` when `v` is unreachable.
+fn floyd_warshall(g: &Graph) -> Vec<Vec<f64>> {
+    let n = g.node_count();
+    let mut dist = vec![vec![f64::INFINITY; n]; n];
+    for i in 0..n {
+        dist[i][i] = 0.0;
+    }
+    for (_, link) in g.links() {
+        let (a, b) = (link.a().index(), link.b().index());
+        // Parallel links: keep the cheaper one.
+        let c = link.latency_ms().min(dist[a][b]);
+        dist[a][b] = c;
+        dist[b][a] = c;
+    }
+    for k in 0..n {
+        for i in 0..n {
+            let dik = dist[i][k];
+            if dik.is_infinite() {
+                continue;
+            }
+            for j in 0..n {
+                let through = dik + dist[k][j];
+                if through < dist[i][j] {
+                    dist[i][j] = through;
+                }
+            }
+        }
+    }
+    dist
+}
+
+/// All-pairs distances from the production CSR kernel, one row per
+/// source.
+fn csr_all_pairs(g: &Graph) -> Vec<Vec<f64>> {
+    let csr = CsrGraph::from_graph(g, |l| l.latency_ms());
+    let mut scratch = SsspScratch::new();
+    node_ids(g).into_iter().map(|s| csr.sssp_into(s, &mut scratch).to_vec()).collect()
+}
+
 proptest! {
     #[test]
     fn dijkstra_matches_floyd_warshall(g in arbitrary_graph()) {
-        let fw = floyd_warshall(&g, |l| l.latency_ms());
+        let fw = floyd_warshall(&g);
+        let costs = latencies(&g);
         let ids = node_ids(&g);
         for s in 0..g.node_count() {
-            let d = dijkstra(&g, ids[s], |l| l.latency_ms());
+            let (tree, _) = SsspTree::build(&g, ids[s], &costs);
+            let d = tree.distances();
             for t in 0..g.node_count() {
-                let diff = (fw.get(s, t) - d[t]).abs();
-                prop_assert!(diff < 1e-9, "s={s} t={t}: fw={} dij={}", fw.get(s, t), d[t]);
+                let diff = (fw[s][t] - d[t]).abs();
+                prop_assert!(diff < 1e-9, "s={s} t={t}: fw={} dij={}", fw[s][t], d[t]);
             }
         }
     }
 
     #[test]
     fn shortest_paths_are_symmetric(g in arbitrary_graph()) {
-        let fw = floyd_warshall(&g, |l| l.latency_ms());
+        let d = csr_all_pairs(&g);
         for s in 0..g.node_count() {
             for t in 0..g.node_count() {
-                prop_assert!((fw.get(s, t) - fw.get(t, s)).abs() < 1e-9);
+                prop_assert!((d[s][t] - d[t][s]).abs() < 1e-9);
             }
         }
     }
 
     #[test]
     fn shortest_paths_satisfy_triangle_inequality(g in arbitrary_graph()) {
-        let fw = floyd_warshall(&g, |l| l.latency_ms());
+        let d = csr_all_pairs(&g);
         let n = g.node_count();
         for a in 0..n {
             for b in 0..n {
                 for c in 0..n {
-                    prop_assert!(fw.get(a, c) <= fw.get(a, b) + fw.get(b, c) + 1e-9);
+                    prop_assert!(d[a][c] <= d[a][b] + d[b][c] + 1e-9);
                 }
             }
         }
