@@ -19,7 +19,7 @@ use std::fmt;
 
 use serde::Serialize;
 use tacc_gap::GapInstance;
-use tacc_runtime::RuntimeSnapshot;
+use tacc_runtime::{MaintainerState, RuntimeSnapshot};
 use tacc_topology::Graph;
 use tacc_workload::{Trace, TraceEvent, TraceScenario};
 
@@ -428,7 +428,8 @@ pub fn validate_trace(trace: &Trace) -> QuarantineReport {
 
 /// Validates a restored runtime snapshot: version, the carried topology
 /// (serde bypasses all builder checks), per-device vector lengths against
-/// the topology, assignment server indices, and config priorities.
+/// the topology, assignment server indices, config priorities, and the
+/// delay-maintenance state's lengths and tree parent-link indices.
 #[must_use]
 pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
     let mut report = QuarantineReport::new("snapshot");
@@ -496,7 +497,48 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
             report.issues.push(ValidationIssue::BadPriority { device, value: p });
         }
     }
+    check_maintainer(&snapshot.maintainer, snapshot.topology.graph(), num_servers, &mut report);
     report
+}
+
+/// Delay-maintenance checks for [`validate_snapshot`]: per-link, per-server
+/// and per-node lengths, and parent links inside the link range.
+fn check_maintainer(
+    state: &MaintainerState,
+    graph: &Graph,
+    num_servers: usize,
+    report: &mut QuarantineReport,
+) {
+    let (links, nodes) = (graph.link_count(), graph.node_count());
+    for (what, found, expected) in [
+        ("maintainer trees", state.trees.len(), num_servers),
+        ("maintainer base_costs", state.base_costs.len(), links),
+        ("maintainer disabled", state.disabled.len(), links),
+        ("maintainer failed", state.failed.len(), num_servers),
+    ] {
+        if found != expected {
+            report.issues.push(ValidationIssue::LengthMismatch { what, found, expected });
+        }
+    }
+    for tree in &state.trees {
+        if tree.parent_link.len() != nodes {
+            report.issues.push(ValidationIssue::LengthMismatch {
+                what: "tree parent_link",
+                found: tree.parent_link.len(),
+                expected: nodes,
+            });
+        }
+        for (node, link) in tree.parent_link.iter().enumerate() {
+            if let Some(link) = link.filter(|l| l.index() >= links) {
+                report.issues.push(ValidationIssue::IndexOutOfRange {
+                    index: node,
+                    what: "tree parent link",
+                    value: link.index(),
+                    limit: links,
+                });
+            }
+        }
+    }
 }
 
 /// Validates an assignment-problem instance: delays non-NaN and

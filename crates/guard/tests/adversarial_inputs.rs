@@ -83,6 +83,7 @@ fn every_malformed_snapshot_fixture_is_rejected() {
         "snapshot-wanted-mismatch.json",
         "snapshot-dangling-node.json",
         "snapshot-truncated.json",
+        "snapshot-maintainer-mismatch.json",
     ];
     for name in malformed {
         let err = load_snapshot(name, false)
@@ -113,4 +114,29 @@ fn guard_rejections_are_typed_not_stringly() {
         "{}",
         report.summary()
     );
+    // Delay-maintenance state: one failed flag and one base cost short,
+    // and a tree parent link past the topology's 14 links.
+    let snapshot =
+        RuntimeSnapshot::from_json(&fixture("snapshot-maintainer-mismatch.json")).expect("parses");
+    let report = validate_snapshot(&snapshot);
+    for what in ["maintainer failed", "maintainer base_costs"] {
+        assert!(
+            report.issues.iter().any(|i| matches!(
+                i,
+                ValidationIssue::LengthMismatch { what: w, found, expected }
+                    if *w == what && found + 1 == *expected
+            )),
+            "{what}: {}",
+            report.summary()
+        );
+    }
+    assert!(
+        report.issues.iter().any(|i| matches!(
+            i,
+            ValidationIssue::IndexOutOfRange { what: "tree parent link", value: 99, limit: 14, .. }
+        )),
+        "{}",
+        report.summary()
+    );
+    assert_eq!(report.hard_count(), 3, "{}", report.summary());
 }

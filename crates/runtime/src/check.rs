@@ -7,7 +7,8 @@
 //! release CI: set `TACC_CHECK=1` in the environment and
 //! [`crate::Runtime::step`] verifies the cheap invariants after *every*
 //! event and the expensive ones (full shortest-path recompute, snapshot
-//! JSON round-trip) on a sampled cadence. Violations surface as typed
+//! JSON round-trip, delay state re-derived from that snapshot) on a
+//! sampled cadence. Violations surface as typed
 //! [`crate::RuntimeError::Invariant`] errors, never panics, so harnesses
 //! can report them.
 //!
@@ -31,7 +32,8 @@ pub fn enabled() -> bool {
 }
 
 /// How often [`crate::Runtime::step`] runs the *expensive* checks (full
-/// delay-matrix recompute, snapshot round-trip) when checking is enabled:
+/// delay-matrix recompute, snapshot round-trip and re-derivation) when
+/// checking is enabled:
 /// every `DEEP_CHECK_EVERY`-th event. The cheap checks (overload, device
 /// conservation, reachability classification) run on every event.
 pub const DEEP_CHECK_EVERY: u64 = 8;

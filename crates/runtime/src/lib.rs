@@ -38,7 +38,9 @@
 //! The whole runtime state is serializable: [`Runtime::snapshot`] /
 //! [`Runtime::restore`] round-trip through JSON such that an interrupted
 //! replay finishes with byte-identical assignment and deterministic
-//! metrics to an uninterrupted one.
+//! metrics to an uninterrupted one. Snapshots hold state only (see
+//! [`MaintainerState`]); restore re-derives the delay matrix and the
+//! tree distances bit for bit.
 //!
 //! ## Example
 //!
@@ -78,7 +80,7 @@ mod snapshot;
 
 pub use check::InvariantChecker;
 pub use error::RuntimeError;
-pub use maintainer::DelayMaintainer;
+pub use maintainer::{DelayMaintainer, MaintainerState, TreeState};
 pub use metrics::{CoreMetrics, EventCounts, LatencyHistogram, RuntimeMetrics};
 pub use runtime::{DeviceState, ReassignPolicy, Runtime, RuntimeConfig};
 pub use snapshot::RuntimeSnapshot;

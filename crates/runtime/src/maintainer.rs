@@ -16,16 +16,22 @@
 //! blanks the server's own column and reroutes any other server's paths
 //! that ran through it. Links are reference-counted so two failed
 //! endpoints must both recover before the link carries traffic again.
+//!
+//! Snapshots carry a [`MaintainerState`]: what cannot be recomputed.
+//! [`DelayMaintainer::from_state`] re-derives the effective costs, the
+//! tree distances and the matrix from it, bit for bit.
 
 use serde::{Deserialize, Serialize};
 use tacc_topology::incremental::{SsspTree, UpdateStats};
-use tacc_topology::{DelayMatrix, DelayModel, DelayOracle, LinkId, Topology};
+use tacc_topology::{DelayMatrix, DelayModel, DelayOracle, LinkId, NodeId, Topology};
+
+use crate::RuntimeError;
 
 /// Maintains per-server shortest-path trees and the delay matrix across
-/// topology changes. Serializes as part of runtime snapshots; the restored
-/// value is field-for-field identical, so resumed runs repair the exact
-/// same tree structures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// topology changes. [`DelayMaintainer::state`] and
+/// [`DelayMaintainer::from_state`] round-trip it field for field, so
+/// resumed runs repair the exact same tree structures.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DelayMaintainer {
     model: DelayModel,
     /// Per-link cost under `model` with the link's *current* latency,
@@ -43,6 +49,37 @@ pub struct DelayMaintainer {
     /// Work of one full rebuild of all trees (measured at construction) —
     /// the baseline that incremental savings are reported against.
     baseline: UpdateStats,
+}
+
+/// The stored part of a [`DelayMaintainer`]: everything except the
+/// effective costs, the tree distances and the matrix, which
+/// [`DelayMaintainer::from_state`] re-derives.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct MaintainerState {
+    /// The link-delay model the costs derive from.
+    pub model: DelayModel,
+    /// Per-link cost with the link's current latency, ignoring failures.
+    pub base_costs: Vec<f64>,
+    /// Per-link count of failed endpoints.
+    pub disabled: Vec<u32>,
+    /// One tree per server, in role order.
+    pub trees: Vec<TreeState>,
+    /// Which servers are failed.
+    pub failed: Vec<bool>,
+    /// Work of one full rebuild of all trees, measured at construction.
+    pub baseline: UpdateStats,
+}
+
+/// The stored part of one server's shortest-path tree. The parent links
+/// are state, not cache: the tie-broken shape decides which subtree a
+/// later repair invalidates, and with it the repair metrics.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub struct TreeState {
+    /// The server's node.
+    pub source: NodeId,
+    /// Each node's tree-parent link (`None` for the source and
+    /// unreachable nodes).
+    pub parent_link: Vec<Option<LinkId>>,
 }
 
 impl DelayMaintainer {
@@ -74,6 +111,104 @@ impl DelayMaintainer {
             failed: vec![false; topology.num_servers()],
             baseline,
         }
+    }
+
+    /// The stored part of the maintainer, for snapshots.
+    pub fn state(&self) -> MaintainerState {
+        MaintainerState {
+            model: self.model.clone(),
+            base_costs: self.base_costs.clone(),
+            disabled: self.disabled.clone(),
+            trees: self
+                .trees
+                .iter()
+                .map(|tree| TreeState {
+                    source: tree.source(),
+                    parent_link: tree.parent_links().to_vec(),
+                })
+                .collect(),
+            failed: self.failed.clone(),
+            baseline: self.baseline,
+        }
+    }
+
+    /// Rebuilds a maintainer from its stored state: the effective costs
+    /// from the base costs and disable counts, each tree's distances
+    /// from its parent links ([`SsspTree::from_parent_links`], checked
+    /// against a fresh [`SsspTree::build`]), and the matrix from the
+    /// trees. The result equals the maintainer the state was taken from.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`RuntimeError::InvalidSnapshot`] when a length disagrees
+    /// with `topology`, the disable counts disagree with the failed
+    /// servers, a tree's source is not its server's node, or a tree's
+    /// parent links do not form that server's shortest-path tree.
+    pub fn from_state(topology: &Topology, state: MaintainerState) -> Result<Self, RuntimeError> {
+        let invalid = |reason: String| RuntimeError::InvalidSnapshot { reason };
+        let graph = topology.graph();
+        let (links, servers) = (graph.link_count(), topology.num_servers());
+        for (what, found, expected) in [
+            ("base_costs", state.base_costs.len(), links),
+            ("disabled", state.disabled.len(), links),
+            ("failed", state.failed.len(), servers),
+            ("trees", state.trees.len(), servers),
+        ] {
+            if found != expected {
+                return Err(invalid(format!(
+                    "maintainer {what} has {found} entries, expected {expected}"
+                )));
+            }
+        }
+        let nodes = graph.node_count();
+        if let Some(node) =
+            topology.iot_nodes().iter().chain(topology.server_nodes()).find(|n| n.index() >= nodes)
+        {
+            return Err(invalid(format!(
+                "topology role node {node} outside its {nodes}-node graph"
+            )));
+        }
+        let mut disabled = vec![0u32; links];
+        for (server, _) in state.failed.iter().enumerate().filter(|(_, &failed)| failed) {
+            for nb in graph.neighbors(topology.server_nodes()[server]) {
+                disabled[nb.link.index()] += 1;
+            }
+        }
+        if disabled != state.disabled {
+            return Err(invalid(
+                "maintainer disabled counts disagree with the failed servers".to_owned(),
+            ));
+        }
+        let costs: Vec<f64> = state
+            .base_costs
+            .iter()
+            .zip(&disabled)
+            .map(|(&base, &count)| if count > 0 { f64::INFINITY } else { base })
+            .collect();
+        let mut trees = Vec::with_capacity(servers);
+        for (server, tree) in state.trees.into_iter().enumerate() {
+            let node = topology.server_nodes()[server];
+            if tree.source != node {
+                return Err(invalid(format!(
+                    "tree {server} is rooted at {}, not {node}",
+                    tree.source
+                )));
+            }
+            let tree = SsspTree::from_parent_links(graph, node, tree.parent_link, &costs)
+                .map_err(|e| invalid(format!("tree {server}: {e}")))?;
+            trees.push(tree);
+        }
+        let matrix = matrix_from_trees(&trees, topology);
+        Ok(DelayMaintainer {
+            model: state.model,
+            base_costs: state.base_costs,
+            disabled,
+            costs,
+            trees,
+            matrix,
+            failed: state.failed,
+            baseline: state.baseline,
+        })
     }
 
     /// The maintained delay matrix.
@@ -417,9 +552,38 @@ mod tests {
         maintainer.drift(&topo, link);
         maintainer.fail_server(&topo, 3);
 
-        let json = serde_json::to_string(&maintainer).unwrap();
+        let json = serde_json::to_string(&maintainer.state()).unwrap();
         let value = serde_json::from_str(&json).unwrap();
-        let back: DelayMaintainer = serde_json::from_value(&value).unwrap();
+        let state: MaintainerState = serde_json::from_value(&value).unwrap();
+        let back = DelayMaintainer::from_state(&topo, state).unwrap();
         assert_eq!(maintainer, back);
+        for (a, b) in maintainer.trees.iter().zip(&back.trees) {
+            let bits = |t: &SsspTree| t.distances().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(a), bits(b));
+        }
+    }
+
+    #[test]
+    fn malformed_state_is_a_typed_error() {
+        let topo = topology();
+        let mut maintainer = DelayMaintainer::new(&topo, DelayModel::default());
+        maintainer.fail_server(&topo, 1);
+        let reject = |edit: &dyn Fn(&mut MaintainerState)| {
+            let mut state = maintainer.state();
+            edit(&mut state);
+            match DelayMaintainer::from_state(&topo, state) {
+                Err(RuntimeError::InvalidSnapshot { reason }) => reason,
+                other => panic!("expected InvalidSnapshot, got {other:?}"),
+            }
+        };
+        // Short `failed`, `trees` and `base_costs` are covered through
+        // `Runtime::restore` in tests/adversarial.rs.
+        assert!(reject(&|s| s.disabled.push(0)).contains("disabled has"));
+        assert!(reject(&|s| s.failed[1] = false).contains("disagree with the failed"));
+        assert!(reject(&|s| s.trees.swap(0, 2)).contains("tree 0 is rooted"));
+        assert!(reject(&|s| {
+            s.trees[0].parent_link.pop();
+        })
+        .contains("tree 0: invalid"));
     }
 }

@@ -706,8 +706,9 @@ impl Runtime {
     /// delay, the unreachable set agreeing with a recompute, and the
     /// cluster seeing the maintained delay matrix — are cheap enough to
     /// run per event. `deep` adds the expensive ones: every shortest-path
-    /// column re-derived from scratch, and a snapshot surviving a JSON
-    /// round-trip bit-for-bit.
+    /// column re-derived from scratch, a snapshot surviving a JSON
+    /// round-trip bit-for-bit, and the maintainer re-derived from that
+    /// snapshot ([`DelayMaintainer::from_state`]) equal to the live one.
     ///
     /// [`Runtime::step`] runs this automatically (deep on a sampled
     /// cadence) when the `TACC_CHECK=1` environment switch is set; see
@@ -765,13 +766,22 @@ impl Runtime {
                 return fail("incremental delay columns diverge from a full recompute".to_owned());
             }
             let snapshot = self.snapshot();
-            match RuntimeSnapshot::from_json(&snapshot.to_json()) {
-                Ok(round) if round == snapshot => {}
+            let round = match RuntimeSnapshot::from_json(&snapshot.to_json()) {
+                Ok(round) if round == snapshot => round,
                 Ok(_) => {
                     return fail("snapshot JSON round-trip is not idempotent".to_owned());
                 }
                 Err(e) => {
                     return fail(format!("snapshot does not survive its own JSON: {e}"));
+                }
+            };
+            match DelayMaintainer::from_state(&self.topology, round.maintainer) {
+                Ok(rederived) if rederived == self.maintainer => {}
+                Ok(_) => {
+                    return fail("maintainer re-derived from its snapshot differs".to_owned());
+                }
+                Err(e) => {
+                    return fail(format!("maintainer does not re-derive from its snapshot: {e}"));
                 }
             }
         }
@@ -817,7 +827,7 @@ impl Runtime {
             scenario: self.scenario.clone(),
             config: self.config.clone(),
             topology: self.topology.clone(),
-            maintainer: self.maintainer.clone(),
+            maintainer: self.maintainer.state(),
             assignment: self.cluster.assignment().clone(),
             wanted: self.wanted.clone(),
             unreachable: self.unreachable.clone(),
@@ -834,7 +844,8 @@ impl Runtime {
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidSnapshot`] for version or shape
-    /// mismatches with the trace's scenario.
+    /// mismatches with the trace's scenario, and for delay-maintenance
+    /// state that does not re-derive ([`DelayMaintainer::from_state`]).
     pub fn restore(snapshot: RuntimeSnapshot, trace: &Trace) -> Result<Runtime, RuntimeError> {
         if snapshot.version != RuntimeSnapshot::FORMAT_VERSION {
             return Err(RuntimeError::InvalidSnapshot {
@@ -890,14 +901,15 @@ impl Runtime {
                 reason: "snapshot unreachable set does not match the scenario".to_owned(),
             });
         }
-        let instance = scenario.instance().with_delays(snapshot.maintainer.matrix().clone())?;
+        let maintainer = DelayMaintainer::from_state(&snapshot.topology, snapshot.maintainer)?;
+        let instance = scenario.instance().with_delays(maintainer.matrix().clone())?;
         let cluster =
             DynamicCluster::from_partial(instance, snapshot.assignment, snapshot.migrations)?;
         Ok(Runtime {
             config: snapshot.config,
             scenario: snapshot.scenario,
             topology: snapshot.topology,
-            maintainer: snapshot.maintainer,
+            maintainer,
             cluster,
             priorities,
             wanted: snapshot.wanted,

@@ -2,11 +2,31 @@
 //!
 //! A [`RuntimeSnapshot`] captures everything [`crate::Runtime`] needs to
 //! resume a trace replay bit-for-bit: the configuration, the drifted
-//! topology, the delay-maintenance state (trees, disabled links,
-//! failures), the assignment, the degradation sets (wanted and
-//! unreachable devices), and the deterministic metrics. Demands and
-//! capacities are deliberately *not* stored — they never change, so the
-//! restore path re-derives them from the trace's scenario.
+//! topology, the delay-maintenance state, the assignment, the
+//! degradation sets (wanted and unreachable devices), and the
+//! deterministic metrics. Demands and capacities are deliberately *not*
+//! stored — they never change, so the restore path re-derives them from
+//! the trace's scenario.
+//!
+//! A snapshot stores state, not caches. Of the delay maintenance it
+//! keeps the [`MaintainerState`]: the delay model, the per-link base
+//! costs and disable counts, the failed servers, the rebuild baseline,
+//! and each server's tree as its source and parent links. Restore
+//! re-derives the rest with [`crate::DelayMaintainer::from_state`]:
+//!
+//! - the effective link costs, `base_costs` with disabled links at `∞`;
+//! - each tree's distances, from the invariant every tree operation
+//!   keeps: `dist[v] == dist[parent(v)] + costs[parent_link[v]]`, the
+//!   very sum written together with the link, so the rebuilt distances
+//!   are bitwise equal (and are checked against a fresh
+//!   [`tacc_topology::incremental::SsspTree::build`]);
+//! - the device × server delay matrix, read out of the trees.
+//!
+//! The parent links are state: after repairs a tree's tie-broken shape
+//! can differ from a fresh build's, and it decides which subtree the
+//! next repair invalidates. The serde layer ignores unknown fields, so
+//! snapshots that still carry the derived `costs`, `dist` and `matrix`
+//! parse and restore unchanged.
 //!
 //! Format version 2 adds the trace scenario (so restore can reject a
 //! snapshot replayed against the wrong trace) and the unreachable set
@@ -19,7 +39,7 @@ use tacc_gap::Assignment;
 use tacc_topology::Topology;
 use tacc_workload::TraceScenario;
 
-use crate::maintainer::DelayMaintainer;
+use crate::maintainer::MaintainerState;
 use crate::metrics::CoreMetrics;
 use crate::runtime::RuntimeConfig;
 use crate::RuntimeError;
@@ -39,9 +59,9 @@ pub struct RuntimeSnapshot {
     pub config: RuntimeConfig,
     /// The topology including all applied latency drifts.
     pub topology: Topology,
-    /// Delay-maintenance state: shortest-path trees, link disable
-    /// refcounts, failed servers and the savings baseline.
-    pub maintainer: DelayMaintainer,
+    /// Delay-maintenance state: tree parent links, base link costs,
+    /// link disable refcounts, failed servers and the savings baseline.
+    pub maintainer: MaintainerState,
     /// The device → server assignment at the snapshot point.
     pub assignment: Assignment,
     /// Which devices want service (shed and unreachable devices stay

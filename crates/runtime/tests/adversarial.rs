@@ -1,7 +1,10 @@
 //! Adversarial regression tests for the runtime: hand-written traces
 //! that fail the last alive server, snapshot/restore under in-flight
-//! degradation, and the typed-error contract on every malformed-input
+//! degradation, snapshots written before the derived delay state left
+//! the format, and the typed-error contract on every malformed-input
 //! path (no panics, ever).
+
+use std::path::PathBuf;
 
 use tacc_runtime::{DeviceState, Runtime, RuntimeConfig, RuntimeError, RuntimeSnapshot};
 use tacc_workload::{TimedEvent, Trace, TraceEvent, TraceScenario};
@@ -139,13 +142,132 @@ fn snapshot_restore_preserves_in_flight_degradation_byte_identically() {
     let mut resumed = restored;
     resumed.run(&trace).unwrap();
     assert_eq!(whole.snapshot(), resumed.snapshot());
+    assert_eq!(whole.maintainer(), resumed.maintainer(), "derived delay state too");
     assert_eq!(
         serde_json::to_string(&whole.report_json(false)).unwrap(),
         serde_json::to_string(&resumed.report_json(false)).unwrap()
     );
 }
 
+fn fixture(name: &str) -> String {
+    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
+}
+
+#[test]
+fn a_snapshot_carrying_derived_delay_state_restores_exactly() {
+    // Written by a build that still journaled the effective link costs,
+    // every tree's distances and the delay matrix, after drifts and two
+    // server failures (20 × 4, cut at event 10). Those fields are now
+    // ignored and re-derived; the resumed run must end exactly where an
+    // uninterrupted one does.
+    let trace = Trace::from_json(&fixture("trace-20x4.json")).unwrap();
+    let text = fixture("snapshot-fat-v2-20x4.json");
+    for key in ["\"costs\"", "\"matrix\"", "\"dist\""] {
+        assert!(text.contains(key), "the fixture carries {key}");
+    }
+    let snapshot = RuntimeSnapshot::from_json(&text).unwrap();
+    assert_eq!(snapshot.version, RuntimeSnapshot::FORMAT_VERSION);
+    assert_eq!(snapshot.cursor, 10);
+    assert!(snapshot.maintainer.failed.iter().any(|&f| f), "mid-failure");
+
+    let mut resumed = Runtime::restore(snapshot.clone(), &trace).unwrap();
+    resumed.check_invariants(true).unwrap();
+    let config = snapshot.config.clone();
+    let mut prefix = Runtime::from_trace(&trace, config.clone()).unwrap();
+    for index in 0..10 {
+        prefix.step(index, &trace.events[index]).unwrap();
+    }
+    assert_eq!(prefix.snapshot(), snapshot, "the fixture is this build's state at event 10");
+    assert_eq!(prefix.maintainer(), resumed.maintainer());
+
+    resumed.run(&trace).unwrap();
+    let mut whole = Runtime::from_trace(&trace, config).unwrap();
+    whole.run(&trace).unwrap();
+    assert_eq!(whole.snapshot(), resumed.snapshot());
+    assert_eq!(whole.maintainer(), resumed.maintainer());
+    assert_eq!(
+        serde_json::to_string(&whole.report_json(false)).unwrap(),
+        serde_json::to_string(&resumed.report_json(false)).unwrap()
+    );
+}
+
+#[test]
+fn snapshots_store_no_derived_delay_state() {
+    let trace = total_outage_trace();
+    let mut rt = Runtime::from_trace(&trace, RuntimeConfig::default()).unwrap();
+    for index in 0..2 {
+        rt.step(index, &trace.events[index]).unwrap();
+    }
+    let json = rt.snapshot().to_json();
+    for key in ["\"costs\"", "\"matrix\"", "\"dist\""] {
+        assert!(!json.contains(key), "snapshot JSON carries derived {key}");
+    }
+    assert!(json.contains("\"parent_link\""));
+}
+
 // --- Typed-error contract: malformed inputs never panic. -----------------
+
+/// A snapshot of the outage trace after its first event (server 0 down),
+/// with `edit` applied to it; returns the restore error's reason.
+fn restore_edited(edit: impl FnOnce(&mut RuntimeSnapshot)) -> String {
+    let trace = total_outage_trace();
+    let mut rt = Runtime::from_trace(&trace, RuntimeConfig::default()).unwrap();
+    rt.step(0, &trace.events[0]).unwrap();
+    let mut snapshot = rt.snapshot();
+    edit(&mut snapshot);
+    match Runtime::restore(snapshot, &trace) {
+        Err(RuntimeError::InvalidSnapshot { reason }) => reason,
+        Err(other) => panic!("expected InvalidSnapshot, got {other:?}"),
+        Ok(_) => panic!("a malformed maintainer restored"),
+    }
+}
+
+#[test]
+fn short_maintainer_vectors_are_typed_errors() {
+    let reason = restore_edited(|s| {
+        s.maintainer.failed.pop();
+    });
+    assert!(reason.contains("failed has 2 entries, expected 3"), "got: {reason}");
+    let reason = restore_edited(|s| s.maintainer.trees.truncate(1));
+    assert!(reason.contains("trees has 1 entries, expected 3"), "got: {reason}");
+    let reason = restore_edited(|s| s.maintainer.base_costs.truncate(4));
+    assert!(reason.contains("base_costs has 4 entries"), "got: {reason}");
+}
+
+#[test]
+fn cyclic_parent_links_are_a_typed_error() {
+    let reason = restore_edited(|s| {
+        // Point both ends of a link away from the source at each other.
+        let graph = s.topology.graph();
+        let tree = &mut s.maintainer.trees[1];
+        let (link, a, b) = (0..graph.link_count())
+            .map(|i| graph.link_id(i))
+            .map(|id| (id, graph.link(id).a(), graph.link(id).b()))
+            .find(|&(_, a, b)| a != tree.source && b != tree.source)
+            .expect("a link off the source");
+        tree.parent_link[a.index()] = Some(link);
+        tree.parent_link[b.index()] = Some(link);
+    });
+    assert!(reason.contains("tree 1") && reason.contains("cycle"), "got: {reason}");
+}
+
+#[test]
+fn non_incident_parent_links_are_a_typed_error() {
+    let reason = restore_edited(|s| {
+        let graph = s.topology.graph();
+        let tree = &mut s.maintainer.trees[2];
+        let node = (0..tree.parent_link.len())
+            .find(|&v| tree.parent_link[v].is_some())
+            .expect("a reached node");
+        let stranger = (0..graph.link_count())
+            .map(|i| graph.link_id(i))
+            .find(|&id| graph.link(id).a().index() != node && graph.link(id).b().index() != node)
+            .expect("a link elsewhere");
+        tree.parent_link[node] = Some(stranger);
+    });
+    assert!(reason.contains("tree 2") && reason.contains("does not lead"), "got: {reason}");
+}
 
 #[test]
 fn malformed_snapshot_json_is_a_typed_error() {

@@ -82,6 +82,8 @@ proptest! {
 
         prop_assert_eq!(deterministic_report(&whole), deterministic_report(&resumed));
         prop_assert_eq!(whole.snapshot(), resumed.snapshot());
+        // The snapshot holds no derived delay state; compare that too.
+        prop_assert_eq!(whole.maintainer(), resumed.maintainer());
     }
 
     /// Traces are stable under JSON round trips.

@@ -34,6 +34,12 @@ pub enum TopologyError {
         /// The role that has no nodes ("IoT device" or "edge server").
         role: &'static str,
     },
+    /// Stored parent links do not describe a shortest-path tree of the
+    /// graph under the given costs.
+    InvalidTree {
+        /// Human-readable description of the violated constraint.
+        reason: String,
+    },
 }
 
 impl fmt::Display for TopologyError {
@@ -54,6 +60,9 @@ impl fmt::Display for TopologyError {
             }
             TopologyError::MissingRole { role } => {
                 write!(f, "topology has no {role} nodes")
+            }
+            TopologyError::InvalidTree { reason } => {
+                write!(f, "invalid shortest-path tree: {reason}")
             }
         }
     }
@@ -77,6 +86,8 @@ mod tests {
         assert!(e.to_string().contains("connect"));
         let e = TopologyError::MissingRole { role: "edge server" };
         assert!(e.to_string().contains("edge server"));
+        let e = TopologyError::InvalidTree { reason: "cycle through n4".into() };
+        assert!(e.to_string().contains("cycle through n4"));
     }
 
     #[test]

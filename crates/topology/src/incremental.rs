@@ -30,12 +30,19 @@
 //! costs along a shortest path, and both take exact minima over the
 //! same candidate set. [`SsspTree::matches_full`] checks this and backs
 //! the debug assertions in the runtime.
+//!
+//! A tree's *state* is its source and parent links; its distances are
+//! derived. Every write of a parent link writes `dist[v] = dist[p] +
+//! costs[link]` in the same step, and a later change to `dist[p]` either
+//! rewrites `dist[v]` or leaves the sum bitwise unchanged, so
+//! [`SsspTree::from_parent_links`] rebuilds the exact distances from the
+//! parent links alone. Runtime snapshots store only those.
 
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 use crate::csr::HeapEntry;
-use crate::{Graph, LinkId, NodeId};
+use crate::{Graph, LinkId, NodeId, TopologyError};
 
 /// Work performed by one tree operation, in relaxation units.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -86,7 +93,7 @@ impl UpdateStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SsspTree {
     source: NodeId,
     /// Distance from the source, `f64::INFINITY` when unreachable.
@@ -119,6 +126,99 @@ impl SsspTree {
         (tree, stats)
     }
 
+    /// Rebuilds a tree from its source and parent links: each distance
+    /// is its parent's distance plus the cost of the parent link, the
+    /// same sum every tree operation writes alongside the link, so a
+    /// tree rebuilt from [`SsspTree::parent_links`] equals the original
+    /// bit for bit.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TopologyError::UnknownNode`] for a source outside the
+    /// graph, and [`TopologyError::InvalidTree`] when a length disagrees
+    /// with the graph, a parent link is out of range or not incident to
+    /// its node, the source has a parent, the links form a cycle, a node
+    /// hangs off an unusable link, a cost is negative or NaN, or the
+    /// distances differ from a fresh [`SsspTree::build`].
+    pub fn from_parent_links(
+        graph: &Graph,
+        source: NodeId,
+        parent_link: Vec<Option<LinkId>>,
+        costs: &[f64],
+    ) -> Result<Self, TopologyError> {
+        let n = graph.node_count();
+        let invalid = |reason: String| Err(TopologyError::InvalidTree { reason });
+        if source.index() >= n {
+            return Err(TopologyError::UnknownNode { index: source.index(), node_count: n });
+        }
+        if parent_link.len() != n {
+            return invalid(format!("{} parent links for {n} nodes", parent_link.len()));
+        }
+        if costs.len() != graph.link_count() {
+            return invalid(format!("{} costs for {} links", costs.len(), graph.link_count()));
+        }
+        if let Some(bad) = costs.iter().position(|c| c.is_nan() || *c < 0.0) {
+            return invalid(format!("link l{bad} has cost {}", costs[bad]));
+        }
+        if let Some(link) = parent_link[source.index()] {
+            return invalid(format!("source {source} has parent link {link}"));
+        }
+        let mut parent = vec![None; n];
+        for (v, link) in parent_link.iter().enumerate() {
+            let Some(link) = *link else { continue };
+            if link.index() >= graph.link_count() {
+                return invalid(format!("n{v}: parent link {link} out of range"));
+            }
+            parent[v] = match (graph.link(link).a().index(), graph.link(link).b().index()) {
+                (a, b) if a == v && b < n => Some(b),
+                (a, b) if b == v && a < n => Some(a),
+                _ => return invalid(format!("n{v}: parent link {link} does not lead to a node")),
+            };
+        }
+
+        // Resolve every node after its parent: climb to the first resolved
+        // ancestor (or a root), then assign distances back down the chain.
+        const UNSEEN: u8 = 0;
+        const ON_CHAIN: u8 = 1;
+        const DONE: u8 = 2;
+        let mut state = vec![UNSEEN; n];
+        let mut dist = vec![f64::INFINITY; n];
+        state[source.index()] = DONE;
+        dist[source.index()] = 0.0;
+        let mut chain = Vec::new();
+        for start in 0..n {
+            let mut v = start;
+            while state[v] == UNSEEN {
+                state[v] = ON_CHAIN;
+                chain.push(v);
+                match parent[v] {
+                    Some(p) => v = p,
+                    None => break,
+                }
+            }
+            if state[v] == ON_CHAIN && parent[v].is_some() {
+                return invalid(format!("parent links form a cycle through n{v}"));
+            }
+            while let Some(u) = chain.pop() {
+                if let (Some(p), Some(link)) = (parent[u], parent_link[u]) {
+                    dist[u] = dist[p] + costs[link.index()];
+                    if dist[u].is_infinite() {
+                        return invalid(format!("unreachable n{u} has parent link {link}"));
+                    }
+                }
+                state[u] = DONE;
+            }
+        }
+
+        let tree = SsspTree { source, dist, parent_link };
+        if !tree.matches_full(graph, costs) {
+            return invalid(format!(
+                "distances from {source} differ from a fresh shortest-path build"
+            ));
+        }
+        Ok(tree)
+    }
+
     /// The tree's source node.
     pub fn source(&self) -> NodeId {
         self.source
@@ -139,10 +239,10 @@ impl SsspTree {
         &self.dist
     }
 
-    /// Each node's tree-parent link, indexed by [`NodeId::index`] —
-    /// what the CSR route kernel's parent links are tested against.
-    #[cfg(test)]
-    pub(crate) fn parent_links(&self) -> &[Option<LinkId>] {
+    /// Each node's tree-parent link, indexed by [`NodeId::index`]
+    /// (`None` for the source and unreachable nodes) — the tree's state,
+    /// from which [`SsspTree::from_parent_links`] re-derives the rest.
+    pub fn parent_links(&self) -> &[Option<LinkId>] {
         &self.parent_link
     }
 
@@ -448,12 +548,60 @@ mod tests {
     }
 
     #[test]
-    fn serde_roundtrip_preserves_tree() {
+    fn parent_links_rebuild_the_tree_bit_for_bit() {
+        let (g, mut costs) = diamond();
+        let (mut tree, _) = SsspTree::build(&g, NodeId(0), &costs);
+        // A repair leaves a tie-broken shape a fresh build need not pick:
+        // n2 is reachable at 2.0 through n1 or n3.
+        costs[0] = 0.25;
+        tree.apply_cost_change(&g, &costs, LinkId(0), 1.0);
+        costs[0] = 1.0;
+        tree.apply_cost_change(&g, &costs, LinkId(0), 0.25);
+        let back = SsspTree::from_parent_links(&g, NodeId(0), tree.parent_links().to_vec(), &costs)
+            .unwrap();
+        assert_eq!(back, tree);
+        for (a, b) in back.distances().iter().zip(tree.distances()) {
+            assert_eq!(a.to_bits(), b.to_bits());
+        }
+    }
+
+    #[test]
+    fn malformed_parent_links_are_typed_errors() {
         let (g, costs) = diamond();
         let (tree, _) = SsspTree::build(&g, NodeId(0), &costs);
-        let json = serde_json::to_string(&tree).unwrap();
-        let back: SsspTree = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, tree);
+        let good = tree.parent_links().to_vec();
+        let rebuild = |links: Vec<Option<LinkId>>, costs: &[f64]| {
+            SsspTree::from_parent_links(&g, NodeId(0), links, costs).unwrap_err().to_string()
+        };
+
+        assert!(rebuild(good[..3].to_vec(), &costs).contains("3 parent links for 4 nodes"));
+        assert!(rebuild(good.clone(), &costs[..2]).contains("2 costs for 5 links"));
+        let mut bad = good.clone();
+        bad[1] = Some(LinkId(9));
+        assert!(rebuild(bad, &costs).contains("out of range"));
+        let mut bad = good.clone();
+        bad[1] = Some(LinkId(3)); // n3—n2 does not touch n1
+        assert!(rebuild(bad, &costs).contains("does not lead"));
+        let mut bad = good.clone();
+        bad[0] = Some(LinkId(0));
+        assert!(rebuild(bad, &costs).contains("source n0 has parent"));
+        let mut bad = good.clone();
+        bad[1] = Some(LinkId(1)); // n1 → n2
+        bad[2] = Some(LinkId(1)); // n2 → n1
+        assert!(rebuild(bad, &costs).contains("cycle"));
+        let mut bad = good.clone();
+        bad[2] = Some(LinkId(4)); // the 5.0 chord: a valid tree, not a shortest one
+        assert!(rebuild(bad, &costs).contains("differ from a fresh"));
+        let mut disabled = costs.clone();
+        disabled[0] = f64::INFINITY;
+        assert!(rebuild(good.clone(), &disabled).contains("unreachable n1"));
+        let mut negative = costs.clone();
+        negative[4] = -1.0;
+        assert!(rebuild(good, &negative).contains("cost -1"));
+        assert!(matches!(
+            SsspTree::from_parent_links(&g, NodeId(7), vec![None; 4], &costs),
+            Err(TopologyError::UnknownNode { index: 7, node_count: 4 })
+        ));
     }
 
     #[test]
