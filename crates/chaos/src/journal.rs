@@ -60,7 +60,7 @@ use crate::crc::crc32;
 use crate::ChaosError;
 
 /// The journal format this build writes and the only one it reads.
-pub const JOURNAL_VERSION: u32 = 4;
+pub const JOURNAL_VERSION: u32 = 5;
 
 /// One line of the journal.
 ///
@@ -492,14 +492,17 @@ pub struct JournalScan {
 
 /// Reads and CRC-verifies every line of a journal under `policy`: a
 /// damaged final line is a torn tail, and a damaged first line is an
-/// error under both policies.
+/// error under both policies. A first-line `Begin` pinning another
+/// version than [`JOURNAL_VERSION`] stops the scan before any later
+/// record is parsed, so an old journal is named by its version rather
+/// than by the first record whose shape changed.
 ///
 /// # Errors
 ///
 /// Returns [`ChaosError::Io`] if the journal cannot be read, and
-/// [`ChaosError::Journal`] if it is empty, its first line is damaged,
-/// or — under [`RecoveryPolicy::Strict`] — a line before the final one
-/// is damaged.
+/// [`ChaosError::Journal`] if it is empty, its first line is damaged or
+/// pins another version, or — under [`RecoveryPolicy::Strict`] — a line
+/// before the final one is damaged.
 pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, ChaosError> {
     let text = std::fs::read_to_string(path).map_err(|e| ChaosError::io(path, &e))?;
     let lines: Vec<&str> = text.lines().filter(|l| !l.trim().is_empty()).collect();
@@ -512,6 +515,16 @@ pub fn scan_journal(path: &Path, policy: RecoveryPolicy) -> Result<JournalScan, 
     let mut corrupt_records: Vec<usize> = Vec::new();
     for (i, line) in lines.iter().enumerate() {
         match parse_journal_line(line) {
+            Ok(JournalRecord::Begin { journal_version, .. })
+                if i == 0 && journal_version != JOURNAL_VERSION =>
+            {
+                return Err(ChaosError::Journal {
+                    reason: format!(
+                        "journal version {journal_version} \
+                         (this build reads only {JOURNAL_VERSION})"
+                    ),
+                });
+            }
             Ok(record) => records.push(record),
             Err(_) if i + 1 == lines.len() && lines.len() > 1 => torn_tail = true,
             Err(reason) => match policy {
@@ -649,15 +662,7 @@ pub fn recover(path: &Path, policy: RecoveryPolicy) -> Result<Recovery, ChaosErr
             return Err(ChaosError::Journal { reason });
         }
         match record {
-            JournalRecord::Begin { journal_version, trace_fingerprint, config } => {
-                if journal_version != JOURNAL_VERSION {
-                    return Err(ChaosError::Journal {
-                        reason: format!(
-                            "journal version {journal_version} \
-                             (this build reads only {JOURNAL_VERSION})"
-                        ),
-                    });
-                }
+            JournalRecord::Begin { trace_fingerprint, config, .. } => {
                 begin = Some((trace_fingerprint, config));
             }
             JournalRecord::SessionScenario { scenario: pinned } => scenario = Some(pinned),
@@ -904,10 +909,11 @@ mod tests {
         // A CRC-framed journal whose Begin pins an older format version.
         let mut records = header(&trace);
         let JournalRecord::Begin { journal_version, .. } = &mut records[0] else { unreachable!() };
-        *journal_version = 3;
+        *journal_version = 4;
         write(&path, &records);
         let reason = why(recover(&path, RecoveryPolicy::Strict).unwrap_err());
-        assert!(reason.contains("journal version 3"), "got: {reason}");
+        assert!(reason.contains("journal version 4"), "got: {reason}");
+        assert!(reason.contains("reads only 5"), "got: {reason}");
         std::fs::remove_file(&path).ok();
     }
 

@@ -18,9 +18,9 @@
 //!    trajectories replay deterministically).
 //! 3. **Input quarantine.** [`validate::validate_trace`],
 //!    [`validate::validate_snapshot`] and friends run one typed validation
-//!    pass over everything loaded from outside, catching what serde-derived
-//!    deserialization lets through (NaN latencies, dangling node
-//!    references, backwards timestamps) before it reaches solver code.
+//!    pass over everything loaded from outside, reporting every finding
+//!    (NaN latencies, out-of-range indices, backwards timestamps) before
+//!    it reaches solver code.
 //!
 //! Wall-clock enters exactly once, optionally: setting
 //! [`WALLCLOCK_ENV`]`=<ms>` arms a non-deterministic backstop deadline on

@@ -1,17 +1,16 @@
 //! Input quarantine: one typed validation pass over everything the
-//! control plane loads from outside — traces, topologies, snapshots.
+//! control plane loads from outside — traces, snapshots, instances.
 //!
-//! Construction-time validation (builders, `Trace::validate`) already
-//! rejects most garbage, but serde-derived deserialization bypasses every
-//! builder: a crafted snapshot can carry NaN link latencies, dangling
-//! node references, or an assignment pointing at servers that do not
-//! exist, and nothing notices until an index panic deep in the runtime.
-//! The quarantine closes that hole: every load path calls one of the
-//! `validate_*` functions here and gates on the resulting
-//! [`QuarantineReport`] *before* the data reaches solver or runtime code.
+//! Construction-time validation (builders, `Trace::validate`,
+//! `Runtime::restore`) already rejects garbage with a first-error-wins
+//! message. The quarantine reports *every* finding, typed, so an
+//! operator sees the whole damage before the data reaches solver or
+//! runtime code. No topology arrives by serde: snapshots store link
+//! latencies, and restore rebuilds the graph from the trace's seeded
+//! scenario, so graph structure needs no checking here.
 //!
 //! Issues come in two severities: **hard** violations (NaN/negative
-//! latencies, capacity ≤ 0, dangling references, non-monotone
+//! latencies, capacity ≤ 0, out-of-range indices, non-monotone
 //! timestamps…) always reject; **advisory** findings (empty traces,
 //! overcommitted load factors) only reject under `--strict-inputs`.
 
@@ -19,8 +18,7 @@ use std::fmt;
 
 use serde::Serialize;
 use tacc_gap::GapInstance;
-use tacc_runtime::{MaintainerState, RuntimeSnapshot};
-use tacc_topology::Graph;
+use tacc_runtime::RuntimeSnapshot;
 use tacc_workload::{Trace, TraceEvent, TraceScenario};
 
 use crate::error::GuardError;
@@ -58,40 +56,6 @@ pub enum ValidationIssue {
         location: String,
         /// The offending value.
         value: f64,
-    },
-    /// A link bandwidth is non-positive or non-finite.
-    NonPositiveBandwidth {
-        /// Link insertion index.
-        link: usize,
-        /// The offending value.
-        value: f64,
-    },
-    /// Two links join the same unordered node pair.
-    DuplicateEdge {
-        /// One endpoint.
-        a: usize,
-        /// The other endpoint.
-        b: usize,
-        /// Insertion index of the first occurrence.
-        first_link: usize,
-        /// Insertion index of the duplicate.
-        duplicate_link: usize,
-    },
-    /// A link endpoint references a node that does not exist.
-    DanglingNodeRef {
-        /// Link insertion index.
-        link: usize,
-        /// The out-of-range node index.
-        node: usize,
-        /// Number of nodes in the graph.
-        node_count: usize,
-    },
-    /// A link joins a node to itself.
-    SelfLoop {
-        /// Link insertion index.
-        link: usize,
-        /// The node.
-        node: usize,
     },
     /// A capacity-bearing quantity (server capacity, load factor) is
     /// non-positive or non-finite.
@@ -184,18 +148,6 @@ impl fmt::Display for ValidationIssue {
             ValidationIssue::NegativeLatency { location, value } => {
                 write!(f, "negative latency {value} at {location}")
             }
-            ValidationIssue::NonPositiveBandwidth { link, value } => {
-                write!(f, "non-positive bandwidth {value} on link {link}")
-            }
-            ValidationIssue::DuplicateEdge { a, b, first_link, duplicate_link } => {
-                write!(f, "links {first_link} and {duplicate_link} both join nodes {a} and {b}")
-            }
-            ValidationIssue::DanglingNodeRef { link, node, node_count } => {
-                write!(f, "link {link} references node {node} of {node_count}")
-            }
-            ValidationIssue::SelfLoop { link, node } => {
-                write!(f, "link {link} joins node {node} to itself")
-            }
             ValidationIssue::NonPositiveCapacity { location, value } => {
                 write!(f, "non-positive capacity {value} at {location}")
             }
@@ -226,7 +178,7 @@ impl fmt::Display for ValidationIssue {
 /// The outcome of one quarantine pass.
 #[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct QuarantineReport {
-    /// What was validated ("trace", "topology", "snapshot", "instance").
+    /// What was validated ("trace", "snapshot", "instance").
     pub subject: String,
     /// Every finding, in discovery order.
     pub issues: Vec<ValidationIssue>,
@@ -276,63 +228,6 @@ impl QuarantineReport {
             Ok(())
         }
     }
-}
-
-/// Validates a topology graph: link latencies finite and non-negative,
-/// bandwidths positive, no dangling endpoints, self-loops, or duplicate
-/// edges. Serde-restored graphs bypass [`Graph::add_link`]'s checks, so
-/// every snapshot-carried topology goes through here.
-#[must_use]
-pub fn validate_graph(graph: &Graph) -> QuarantineReport {
-    let mut report = QuarantineReport::new("topology");
-    let nodes = graph.node_count();
-    let mut seen: Vec<(usize, usize, usize)> = Vec::with_capacity(graph.link_count());
-    for (id, link) in graph.links() {
-        let idx = id.index();
-        let (a, b) = (link.a().index(), link.b().index());
-        for node in [a, b] {
-            if node >= nodes {
-                report.issues.push(ValidationIssue::DanglingNodeRef {
-                    link: idx,
-                    node,
-                    node_count: nodes,
-                });
-            }
-        }
-        if a == b {
-            report.issues.push(ValidationIssue::SelfLoop { link: idx, node: a });
-        }
-        let latency = link.latency_ms();
-        if !latency.is_finite() {
-            report.issues.push(ValidationIssue::NonFiniteLatency {
-                location: format!("link {idx}"),
-                value: latency,
-            });
-        } else if latency < 0.0 {
-            report.issues.push(ValidationIssue::NegativeLatency {
-                location: format!("link {idx}"),
-                value: latency,
-            });
-        }
-        let bandwidth = link.bandwidth_mbps();
-        if !bandwidth.is_finite() || bandwidth <= 0.0 {
-            report
-                .issues
-                .push(ValidationIssue::NonPositiveBandwidth { link: idx, value: bandwidth });
-        }
-        let key = (a.min(b), a.max(b));
-        if let Some(&(_, _, first)) = seen.iter().find(|&&(ka, kb, _)| (ka, kb) == key) {
-            report.issues.push(ValidationIssue::DuplicateEdge {
-                a,
-                b,
-                first_link: first,
-                duplicate_link: idx,
-            });
-        } else {
-            seen.push((key.0, key.1, idx));
-        }
-    }
-    report
 }
 
 /// Scenario-level checks shared by trace and snapshot validation.
@@ -426,10 +321,11 @@ pub fn validate_trace(trace: &Trace) -> QuarantineReport {
     report
 }
 
-/// Validates a restored runtime snapshot: version, the carried topology
-/// (serde bypasses all builder checks), per-device vector lengths against
-/// the topology, assignment server indices, config priorities, and the
-/// delay-maintenance state's lengths and tree parent-link indices.
+/// Validates a parsed runtime snapshot against its own scenario: version,
+/// scenario sanity, finite non-negative link latencies, per-device and
+/// per-server lengths, assignment server indices and config priorities.
+/// What needs the built topology (the link count, the tree parent links)
+/// is checked by `Runtime::restore`.
 #[must_use]
 pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
     let mut report = QuarantineReport::new("snapshot");
@@ -439,27 +335,28 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
             expected: RuntimeSnapshot::FORMAT_VERSION,
         });
     }
-    let graph_report = validate_graph(snapshot.topology.graph());
-    report.issues.extend(graph_report.issues);
-    if let Some(scenario) = &snapshot.scenario {
-        check_scenario(scenario, &mut report);
+    check_scenario(&snapshot.scenario, &mut report);
+    for (link, &value) in snapshot.link_latency_ms.iter().enumerate() {
+        let location = format!("link {link}");
+        if !value.is_finite() {
+            report.issues.push(ValidationIssue::NonFiniteLatency { location, value });
+        } else if value < 0.0 {
+            report.issues.push(ValidationIssue::NegativeLatency { location, value });
+        }
     }
 
-    let num_iot = snapshot.topology.num_iot();
-    let num_servers = snapshot.topology.num_servers();
-    if snapshot.assignment.num_devices() != num_iot {
-        report.issues.push(ValidationIssue::LengthMismatch {
-            what: "assignment",
-            found: snapshot.assignment.num_devices(),
-            expected: num_iot,
-        });
-    }
-    if snapshot.assignment.num_servers() != num_servers {
-        report.issues.push(ValidationIssue::LengthMismatch {
-            what: "assignment servers",
-            found: snapshot.assignment.num_servers(),
-            expected: num_servers,
-        });
+    let num_iot = snapshot.scenario.num_iot;
+    let num_servers = snapshot.scenario.num_servers;
+    for (what, found, expected) in [
+        ("assignment", snapshot.assignment.num_devices(), num_iot),
+        ("assignment servers", snapshot.assignment.num_servers(), num_servers),
+        ("wanted", snapshot.wanted.len(), num_iot),
+        ("maintainer trees", snapshot.maintainer.trees.len(), num_servers),
+        ("maintainer failed", snapshot.maintainer.failed.len(), num_servers),
+    ] {
+        if found != expected {
+            report.issues.push(ValidationIssue::LengthMismatch { what, found, expected });
+        }
     }
     for (device, server) in snapshot.assignment.iter_assigned() {
         if server >= num_servers {
@@ -470,20 +367,6 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
                 limit: num_servers,
             });
         }
-    }
-    if snapshot.wanted.len() != num_iot {
-        report.issues.push(ValidationIssue::LengthMismatch {
-            what: "wanted",
-            found: snapshot.wanted.len(),
-            expected: num_iot,
-        });
-    }
-    if snapshot.unreachable.len() != num_iot {
-        report.issues.push(ValidationIssue::LengthMismatch {
-            what: "unreachable",
-            found: snapshot.unreachable.len(),
-            expected: num_iot,
-        });
     }
     if !snapshot.config.priorities.is_empty() && snapshot.config.priorities.len() != num_iot {
         report.issues.push(ValidationIssue::LengthMismatch {
@@ -497,48 +380,7 @@ pub fn validate_snapshot(snapshot: &RuntimeSnapshot) -> QuarantineReport {
             report.issues.push(ValidationIssue::BadPriority { device, value: p });
         }
     }
-    check_maintainer(&snapshot.maintainer, snapshot.topology.graph(), num_servers, &mut report);
     report
-}
-
-/// Delay-maintenance checks for [`validate_snapshot`]: per-link, per-server
-/// and per-node lengths, and parent links inside the link range.
-fn check_maintainer(
-    state: &MaintainerState,
-    graph: &Graph,
-    num_servers: usize,
-    report: &mut QuarantineReport,
-) {
-    let (links, nodes) = (graph.link_count(), graph.node_count());
-    for (what, found, expected) in [
-        ("maintainer trees", state.trees.len(), num_servers),
-        ("maintainer base_costs", state.base_costs.len(), links),
-        ("maintainer disabled", state.disabled.len(), links),
-        ("maintainer failed", state.failed.len(), num_servers),
-    ] {
-        if found != expected {
-            report.issues.push(ValidationIssue::LengthMismatch { what, found, expected });
-        }
-    }
-    for tree in &state.trees {
-        if tree.parent_link.len() != nodes {
-            report.issues.push(ValidationIssue::LengthMismatch {
-                what: "tree parent_link",
-                found: tree.parent_link.len(),
-                expected: nodes,
-            });
-        }
-        for (node, link) in tree.parent_link.iter().enumerate() {
-            if let Some(link) = link.filter(|l| l.index() >= links) {
-                report.issues.push(ValidationIssue::IndexOutOfRange {
-                    index: node,
-                    what: "tree parent link",
-                    value: link.index(),
-                    limit: links,
-                });
-            }
-        }
-    }
 }
 
 /// Validates an assignment-problem instance: delays non-NaN and
@@ -587,7 +429,6 @@ pub fn validate_instance(instance: &GapInstance) -> QuarantineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tacc_topology::NodeKind;
     use tacc_workload::TimedEvent;
 
     fn tiny_trace() -> Trace {
@@ -664,22 +505,6 @@ mod tests {
         let report = validate_trace(&trace);
         assert_eq!(report.hard_count(), 0);
         assert_eq!(report.advisory_count(), 1);
-    }
-
-    #[test]
-    fn graph_validation_catches_structure_and_values() {
-        let mut g = Graph::new();
-        let a = g.add_node(NodeKind::IotDevice);
-        let b = g.add_node(NodeKind::EdgeServer);
-        let c = g.add_node(NodeKind::Router);
-        g.add_link(a, b, 1.0, 100.0).unwrap();
-        g.add_link(b, c, 2.0, 100.0).unwrap();
-        assert!(validate_graph(&g).is_clean());
-        // A duplicate of (a, b) — legal through the builder, flagged here.
-        g.add_link(b, a, 3.0, 100.0).unwrap();
-        let report = validate_graph(&g);
-        assert_eq!(report.hard_count(), 1);
-        assert!(matches!(report.issues[0], ValidationIssue::DuplicateEdge { .. }));
     }
 
     #[test]

@@ -39,8 +39,9 @@
 //! [`Runtime::restore`] round-trip through JSON such that an interrupted
 //! replay finishes with byte-identical assignment and deterministic
 //! metrics to an uninterrupted one. Snapshots hold state only (see
-//! [`MaintainerState`]); restore re-derives the delay matrix and the
-//! tree distances bit for bit.
+//! [`RuntimeSnapshot`]); restore rebuilds the topology from the trace's
+//! scenario and the stored link latencies, and re-derives the delay
+//! matrix and the tree distances bit for bit.
 //!
 //! ## Example
 //!
@@ -80,7 +81,7 @@ mod snapshot;
 
 pub use check::InvariantChecker;
 pub use error::RuntimeError;
-pub use maintainer::{DelayMaintainer, MaintainerState, TreeState};
+pub use maintainer::{DelayMaintainer, MaintainerState};
 pub use metrics::{CoreMetrics, EventCounts, LatencyHistogram, RuntimeMetrics};
 pub use runtime::{DeviceState, ReassignPolicy, Runtime, RuntimeConfig};
 pub use snapshot::RuntimeSnapshot;

@@ -18,12 +18,13 @@
 //! endpoints must both recover before the link carries traffic again.
 //!
 //! Snapshots carry a [`MaintainerState`]: what cannot be recomputed.
-//! [`DelayMaintainer::from_state`] re-derives the effective costs, the
-//! tree distances and the matrix from it, bit for bit.
+//! [`DelayMaintainer::from_state`] re-derives the link costs, the disable
+//! counts, the tree distances and the matrix from it and the topology,
+//! bit for bit.
 
 use serde::{Deserialize, Serialize};
 use tacc_topology::incremental::{SsspTree, UpdateStats};
-use tacc_topology::{DelayMatrix, DelayModel, DelayOracle, LinkId, NodeId, Topology};
+use tacc_topology::{DelayMatrix, DelayModel, DelayOracle, LinkId, Topology};
 
 use crate::RuntimeError;
 
@@ -34,13 +35,11 @@ use crate::RuntimeError;
 #[derive(Debug, Clone, PartialEq)]
 pub struct DelayMaintainer {
     model: DelayModel,
-    /// Per-link cost under `model` with the link's *current* latency,
-    /// ignoring failures.
-    base_costs: Vec<f64>,
     /// Per-link count of failed endpoints (0, 1 or 2); the effective cost
     /// is infinite while non-zero.
     disabled: Vec<u32>,
-    /// Effective costs: `base_costs` with disabled links at infinity.
+    /// Effective costs: each link's cost under `model` at its current
+    /// latency, or infinity while disabled.
     costs: Vec<f64>,
     /// One tree per server, in role order.
     trees: Vec<SsspTree>,
@@ -51,35 +50,21 @@ pub struct DelayMaintainer {
     baseline: UpdateStats,
 }
 
-/// The stored part of a [`DelayMaintainer`]: everything except the
-/// effective costs, the tree distances and the matrix, which
-/// [`DelayMaintainer::from_state`] re-derives.
+/// The stored part of a [`DelayMaintainer`]: what the topology and the
+/// delay model cannot regenerate. [`DelayMaintainer::from_state`]
+/// re-derives everything else.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MaintainerState {
-    /// The link-delay model the costs derive from.
-    pub model: DelayModel,
-    /// Per-link cost with the link's current latency, ignoring failures.
-    pub base_costs: Vec<f64>,
-    /// Per-link count of failed endpoints.
-    pub disabled: Vec<u32>,
-    /// One tree per server, in role order.
-    pub trees: Vec<TreeState>,
+    /// One tree per server, in role order: each node's tree-parent link
+    /// (`None` for the server's own node and unreachable nodes). The
+    /// parent links are state, not cache: the tie-broken shape decides
+    /// which subtree a later repair invalidates, and with it the repair
+    /// metrics.
+    pub trees: Vec<Vec<Option<LinkId>>>,
     /// Which servers are failed.
     pub failed: Vec<bool>,
     /// Work of one full rebuild of all trees, measured at construction.
     pub baseline: UpdateStats,
-}
-
-/// The stored part of one server's shortest-path tree. The parent links
-/// are state, not cache: the tie-broken shape decides which subtree a
-/// later repair invalidates, and with it the repair metrics.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TreeState {
-    /// The server's node.
-    pub source: NodeId,
-    /// Each node's tree-parent link (`None` for the source and
-    /// unreachable nodes).
-    pub parent_link: Vec<Option<LinkId>>,
 }
 
 impl DelayMaintainer {
@@ -87,9 +72,7 @@ impl DelayMaintainer {
     /// [`SsspTree::build`] per edge server.
     pub fn new(topology: &Topology, model: DelayModel) -> Self {
         let graph = topology.graph();
-        let base_costs: Vec<f64> =
-            graph.links().map(|(_, link)| model.link_delay_ms(link)).collect();
-        let costs = base_costs.clone();
+        let costs: Vec<f64> = graph.links().map(|(_, link)| model.link_delay_ms(link)).collect();
         let mut baseline = UpdateStats::default();
         let trees: Vec<SsspTree> = topology
             .server_nodes()
@@ -103,7 +86,6 @@ impl DelayMaintainer {
         let matrix = matrix_from_trees(&trees, topology);
         DelayMaintainer {
             model,
-            base_costs,
             disabled: vec![0; graph.link_count()],
             costs,
             trees,
@@ -116,92 +98,61 @@ impl DelayMaintainer {
     /// The stored part of the maintainer, for snapshots.
     pub fn state(&self) -> MaintainerState {
         MaintainerState {
-            model: self.model.clone(),
-            base_costs: self.base_costs.clone(),
-            disabled: self.disabled.clone(),
-            trees: self
-                .trees
-                .iter()
-                .map(|tree| TreeState {
-                    source: tree.source(),
-                    parent_link: tree.parent_links().to_vec(),
-                })
-                .collect(),
+            trees: self.trees.iter().map(|tree| tree.parent_links().to_vec()).collect(),
             failed: self.failed.clone(),
             baseline: self.baseline,
         }
     }
 
-    /// Rebuilds a maintainer from its stored state: the effective costs
-    /// from the base costs and disable counts, each tree's distances
-    /// from its parent links ([`SsspTree::from_parent_links`], checked
-    /// against a fresh [`SsspTree::build`]), and the matrix from the
-    /// trees. The result equals the maintainer the state was taken from.
+    /// Rebuilds a maintainer from its stored state over `topology` and
+    /// `model`: the disable counts from the failed servers, the effective
+    /// costs from the model at each link's current latency, each tree's
+    /// distances from its parent links ([`SsspTree::from_parent_links`],
+    /// checked against a fresh [`SsspTree::build`]), and the matrix from
+    /// the trees. The result equals the maintainer the state was taken
+    /// from.
     ///
     /// # Errors
     ///
     /// Returns [`RuntimeError::InvalidSnapshot`] when a length disagrees
-    /// with `topology`, the disable counts disagree with the failed
-    /// servers, a tree's source is not its server's node, or a tree's
-    /// parent links do not form that server's shortest-path tree.
-    pub fn from_state(topology: &Topology, state: MaintainerState) -> Result<Self, RuntimeError> {
+    /// with `topology` or a tree's parent links do not form that server's
+    /// shortest-path tree.
+    pub fn from_state(
+        topology: &Topology,
+        model: &DelayModel,
+        state: MaintainerState,
+    ) -> Result<Self, RuntimeError> {
         let invalid = |reason: String| RuntimeError::InvalidSnapshot { reason };
         let graph = topology.graph();
-        let (links, servers) = (graph.link_count(), topology.num_servers());
-        for (what, found, expected) in [
-            ("base_costs", state.base_costs.len(), links),
-            ("disabled", state.disabled.len(), links),
-            ("failed", state.failed.len(), servers),
-            ("trees", state.trees.len(), servers),
-        ] {
-            if found != expected {
+        let servers = topology.num_servers();
+        for (what, found) in [("failed", state.failed.len()), ("trees", state.trees.len())] {
+            if found != servers {
                 return Err(invalid(format!(
-                    "maintainer {what} has {found} entries, expected {expected}"
+                    "maintainer {what} has {found} entries, expected {servers}"
                 )));
             }
         }
-        let nodes = graph.node_count();
-        if let Some(node) =
-            topology.iot_nodes().iter().chain(topology.server_nodes()).find(|n| n.index() >= nodes)
-        {
-            return Err(invalid(format!(
-                "topology role node {node} outside its {nodes}-node graph"
-            )));
-        }
-        let mut disabled = vec![0u32; links];
+        let mut disabled = vec![0u32; graph.link_count()];
         for (server, _) in state.failed.iter().enumerate().filter(|(_, &failed)| failed) {
             for nb in graph.neighbors(topology.server_nodes()[server]) {
                 disabled[nb.link.index()] += 1;
             }
         }
-        if disabled != state.disabled {
-            return Err(invalid(
-                "maintainer disabled counts disagree with the failed servers".to_owned(),
-            ));
-        }
-        let costs: Vec<f64> = state
-            .base_costs
-            .iter()
+        let costs: Vec<f64> = graph
+            .links()
             .zip(&disabled)
-            .map(|(&base, &count)| if count > 0 { f64::INFINITY } else { base })
+            .map(|((_, link), &n)| if n > 0 { f64::INFINITY } else { model.link_delay_ms(link) })
             .collect();
         let mut trees = Vec::with_capacity(servers);
-        for (server, tree) in state.trees.into_iter().enumerate() {
+        for (server, parent_link) in state.trees.into_iter().enumerate() {
             let node = topology.server_nodes()[server];
-            if tree.source != node {
-                return Err(invalid(format!(
-                    "tree {server} is rooted at {}, not {node}",
-                    tree.source
-                )));
-            }
-            let tree = SsspTree::from_parent_links(graph, node, tree.parent_link, &costs)
+            let tree = SsspTree::from_parent_links(graph, node, parent_link, &costs)
                 .map_err(|e| invalid(format!("tree {server}: {e}")))?;
             trees.push(tree);
         }
         let matrix = matrix_from_trees(&trees, topology);
         Ok(DelayMaintainer {
-            model: state.model,
-            base_costs: state.base_costs,
+            model: model.clone(),
             disabled,
             costs,
             trees,
@@ -258,15 +209,13 @@ impl DelayMaintainer {
     /// Panics if `link` does not belong to the topology the maintainer
     /// was built from.
     pub fn drift(&mut self, topology: &Topology, link: LinkId) -> UpdateStats {
-        let new_base = self.model.link_delay_ms(topology.graph().link(link));
-        self.base_costs[link.index()] = new_base;
         if self.disabled[link.index()] > 0 {
             // The link is failed: its effective cost stays infinite, so no
-            // tree can change. The new base takes effect on recovery.
+            // tree can change. The new latency takes effect on recovery.
             return UpdateStats::default();
         }
         let old = self.costs[link.index()];
-        self.costs[link.index()] = new_base;
+        self.costs[link.index()] = self.model.link_delay_ms(topology.graph().link(link));
         let stats = self.repair(topology, link, old);
         self.matrix = matrix_from_trees(&self.trees, topology);
         stats
@@ -287,7 +236,7 @@ impl DelayMaintainer {
     }
 
     /// Recovers a failed server: incident links whose other endpoint is
-    /// alive return to their base cost.
+    /// alive return to their cost at the link's current latency.
     ///
     /// # Panics
     ///
@@ -326,7 +275,7 @@ impl DelayMaintainer {
                 if self.disabled[idx] > 0 {
                     continue; // other endpoint still failed
                 }
-                self.costs[idx] = self.base_costs[idx];
+                self.costs[idx] = self.model.link_delay_ms(topology.graph().link(link));
             }
             if self.costs[idx] != old {
                 total.absorb(self.repair(topology, link, old));
@@ -555,7 +504,7 @@ mod tests {
         let json = serde_json::to_string(&maintainer.state()).unwrap();
         let value = serde_json::from_str(&json).unwrap();
         let state: MaintainerState = serde_json::from_value(&value).unwrap();
-        let back = DelayMaintainer::from_state(&topo, state).unwrap();
+        let back = DelayMaintainer::from_state(&topo, &DelayModel::default(), state).unwrap();
         assert_eq!(maintainer, back);
         for (a, b) in maintainer.trees.iter().zip(&back.trees) {
             let bits = |t: &SsspTree| t.distances().iter().map(|d| d.to_bits()).collect::<Vec<_>>();
@@ -571,18 +520,17 @@ mod tests {
         let reject = |edit: &dyn Fn(&mut MaintainerState)| {
             let mut state = maintainer.state();
             edit(&mut state);
-            match DelayMaintainer::from_state(&topo, state) {
+            match DelayMaintainer::from_state(&topo, &DelayModel::default(), state) {
                 Err(RuntimeError::InvalidSnapshot { reason }) => reason,
                 other => panic!("expected InvalidSnapshot, got {other:?}"),
             }
         };
-        // Short `failed`, `trees` and `base_costs` are covered through
-        // `Runtime::restore` in tests/adversarial.rs.
-        assert!(reject(&|s| s.disabled.push(0)).contains("disabled has"));
-        assert!(reject(&|s| s.failed[1] = false).contains("disagree with the failed"));
-        assert!(reject(&|s| s.trees.swap(0, 2)).contains("tree 0 is rooted"));
+        // Short `failed` and `trees` are covered through `Runtime::restore`
+        // in tests/adversarial.rs.
+        assert!(reject(&|s| s.failed.push(false)).contains("failed has 5 entries"));
+        assert!(reject(&|s| s.trees.swap(0, 2)).contains("tree 0: invalid"));
         assert!(reject(&|s| {
-            s.trees[0].parent_link.pop();
+            s.trees[0].pop();
         })
         .contains("tree 0: invalid"));
     }

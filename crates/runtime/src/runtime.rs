@@ -16,7 +16,7 @@ use serde_json::{json, Value};
 use tacc_core::{Algorithm, DynamicCluster};
 use tacc_gap::GapInstance;
 use tacc_topology::{DelayModel, LinkId, Topology};
-use tacc_workload::{Scenario, TimedEvent, Trace, TraceEvent, TraceScenario};
+use tacc_workload::{TimedEvent, Trace, TraceEvent, TraceScenario};
 
 use crate::maintainer::DelayMaintainer;
 use crate::metrics::RuntimeMetrics;
@@ -136,10 +136,10 @@ pub enum DeviceState {
 #[derive(Debug, Clone)]
 pub struct Runtime {
     config: RuntimeConfig,
-    /// The trace scenario this runtime was built from, when known (set by
-    /// [`Runtime::from_trace`], `None` under [`Runtime::new`]). Travels in
-    /// snapshots so restore can reject a snapshot from a different trace.
-    scenario: Option<TraceScenario>,
+    /// The trace scenario this runtime was built from. Travels in
+    /// snapshots: restore rebuilds the topology from it, and rejects a
+    /// snapshot from a different trace.
+    scenario: TraceScenario,
     topology: Topology,
     maintainer: DelayMaintainer,
     cluster: DynamicCluster,
@@ -151,7 +151,7 @@ pub struct Runtime {
     wanted: Vec<bool>,
     /// Which wanted-but-unassigned devices currently have no alive server
     /// at finite delay (see [`DeviceState::Unreachable`]). Recomputed
-    /// after every event by `reclassify`.
+    /// after every event by `reclassify`, and on restore.
     unreachable: Vec<bool>,
     /// Trace events consumed so far (the resume point of snapshots).
     cursor: u64,
@@ -166,40 +166,15 @@ impl Runtime {
     /// # Errors
     ///
     /// Propagates trace validation, scenario construction and initial
-    /// solve failures, and rejects configs inconsistent with the
-    /// scenario.
+    /// solve failures, and returns [`RuntimeError::InvalidConfig`] for
+    /// bad priorities or a delay model that disagrees with the
+    /// scenario's instance.
     pub fn from_trace(trace: &Trace, config: RuntimeConfig) -> Result<Runtime, RuntimeError> {
         trace.validate()?;
         let scenario = trace.scenario.build()?;
-        let mut runtime = Runtime::new(&scenario, config)?;
-        runtime.scenario = Some(trace.scenario.clone());
-        Ok(runtime)
-    }
-
-    /// Builds the runtime over an already-materialized scenario.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RuntimeError::InvalidConfig`] for bad priorities or a
-    /// delay model that disagrees with the scenario's instance, and
-    /// propagates initial-solve failures.
-    pub fn new(scenario: &Scenario, config: RuntimeConfig) -> Result<Runtime, RuntimeError> {
         let n = scenario.instance().num_devices();
-        let priorities = if config.priorities.is_empty() {
-            vec![1.0; n]
-        } else {
-            if config.priorities.len() != n {
-                return Err(RuntimeError::InvalidConfig {
-                    reason: format!("{} priorities for {n} devices", config.priorities.len()),
-                });
-            }
-            if config.priorities.iter().any(|p| !p.is_finite() || *p <= 0.0) {
-                return Err(RuntimeError::InvalidConfig {
-                    reason: "priorities must be finite and positive".to_owned(),
-                });
-            }
-            config.priorities.clone()
-        };
+        let priorities = resolve_priorities(&config.priorities, n)
+            .map_err(|reason| RuntimeError::InvalidConfig { reason })?;
 
         let maintainer = DelayMaintainer::new(scenario.topology(), config.delay_model.clone());
         if maintainer.matrix() != scenario.instance().delays() {
@@ -215,7 +190,7 @@ impl Runtime {
 
         Ok(Runtime {
             config,
-            scenario: None,
+            scenario: trace.scenario.clone(),
             topology: scenario.topology().clone(),
             maintainer,
             cluster,
@@ -509,26 +484,26 @@ impl Runtime {
         Placement::Shed
     }
 
-    /// Whether any alive server can reach `device` at finite delay.
-    fn has_usable_server(&self, device: usize) -> bool {
+    /// Whether `device` is unreachable: it wants service, is not
+    /// assigned, and no alive server can reach it at finite delay.
+    fn stranded(&self, device: usize) -> bool {
         let m = self.cluster.instance().num_servers();
-        (0..m).any(|j| {
-            !self.maintainer.is_failed(j) && self.cluster.instance().delay(device, j).is_finite()
-        })
+        self.wanted[device]
+            && !self.cluster.is_active(device)
+            && !(0..m).any(|j| {
+                !self.maintainer.is_failed(j)
+                    && self.cluster.instance().delay(device, j).is_finite()
+            })
     }
 
-    /// Recomputes the unreachable set after an event: a device is
-    /// unreachable iff it wants service, is not assigned, and no alive
-    /// server can reach it at finite delay. Counts false→true flips (a
-    /// device staying unreachable across events counts once); devices
-    /// that become reachable again drop back to `Shed` until
-    /// [`Runtime::readmit`] finds them room.
+    /// Recomputes the unreachable set after an event ([`Runtime::stranded`]).
+    /// Counts false→true flips (a device staying unreachable across
+    /// events counts once); devices that become reachable again drop
+    /// back to `Shed` until [`Runtime::readmit`] finds them room.
     fn reclassify(&mut self) {
         let n = self.cluster.instance().num_devices();
         for device in 0..n {
-            let stranded = self.wanted[device]
-                && !self.cluster.is_active(device)
-                && !self.has_usable_server(device);
+            let stranded = self.stranded(device);
             if stranded && !self.unreachable[device] {
                 tacc_obs::counter_add("runtime.unreachable_transitions", 1);
                 self.metrics.core.unreachable_transitions += 1;
@@ -746,7 +721,7 @@ impl Runtime {
                     ));
                 }
             } else {
-                let stranded = self.wanted[device] && !self.has_usable_server(device);
+                let stranded = self.stranded(device);
                 if self.unreachable[device] != stranded {
                     return fail(format!(
                         "device {device} unreachable flag disagrees with the topology \
@@ -775,7 +750,11 @@ impl Runtime {
                     return fail(format!("snapshot does not survive its own JSON: {e}"));
                 }
             };
-            match DelayMaintainer::from_state(&self.topology, round.maintainer) {
+            match DelayMaintainer::from_state(
+                &self.topology,
+                &self.config.delay_model,
+                round.maintainer,
+            ) {
                 Ok(rederived) if rederived == self.maintainer => {}
                 Ok(_) => {
                     return fail("maintainer re-derived from its snapshot differs".to_owned());
@@ -826,11 +805,10 @@ impl Runtime {
             version: RuntimeSnapshot::FORMAT_VERSION,
             scenario: self.scenario.clone(),
             config: self.config.clone(),
-            topology: self.topology.clone(),
+            link_latency_ms: self.topology.graph().links().map(|(_, l)| l.latency_ms()).collect(),
             maintainer: self.maintainer.state(),
             assignment: self.cluster.assignment().clone(),
             wanted: self.wanted.clone(),
-            unreachable: self.unreachable.clone(),
             migrations: self.cluster.migrations(),
             cursor: self.cursor,
             metrics: self.metrics.core.clone(),
@@ -838,86 +816,93 @@ impl Runtime {
     }
 
     /// Rebuilds a runtime from a snapshot plus the trace it was taken
-    /// from (the trace supplies what the snapshot deliberately omits:
-    /// demands and capacities, which never change).
+    /// from. The trace's scenario supplies everything the snapshot does
+    /// not store: the topology (with the snapshot's link latencies
+    /// applied), demands and capacities; the delay state and the
+    /// unreachable set are re-derived from them (see [`RuntimeSnapshot`]).
     ///
     /// # Errors
     ///
-    /// Returns [`RuntimeError::InvalidSnapshot`] for version or shape
-    /// mismatches with the trace's scenario, and for delay-maintenance
-    /// state that does not re-derive ([`DelayMaintainer::from_state`]).
+    /// Returns [`RuntimeError::InvalidSnapshot`] for a version, scenario
+    /// or shape mismatch, bad priorities or link latencies, and
+    /// delay-maintenance state that does not re-derive
+    /// ([`DelayMaintainer::from_state`]).
     pub fn restore(snapshot: RuntimeSnapshot, trace: &Trace) -> Result<Runtime, RuntimeError> {
+        let invalid = |reason: String| RuntimeError::InvalidSnapshot { reason };
         if snapshot.version != RuntimeSnapshot::FORMAT_VERSION {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: format!(
-                    "snapshot format version {} (this build reads {})",
-                    snapshot.version,
-                    RuntimeSnapshot::FORMAT_VERSION
-                ),
-            });
+            return Err(invalid(format!(
+                "snapshot format version {} (this build reads {})",
+                snapshot.version,
+                RuntimeSnapshot::FORMAT_VERSION
+            )));
         }
         trace.validate()?;
-        if let Some(snapped) = &snapshot.scenario {
-            if *snapped != trace.scenario {
-                return Err(RuntimeError::InvalidSnapshot {
-                    reason: "snapshot scenario does not match the trace".to_owned(),
-                });
-            }
-        }
-        let scenario = trace.scenario.build()?;
-        if snapshot.topology.num_iot() != scenario.topology().num_iot()
-            || snapshot.topology.num_servers() != scenario.topology().num_servers()
-        {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: "snapshot topology does not match the trace's scenario".to_owned(),
-            });
+        if snapshot.scenario != trace.scenario {
+            return Err(invalid("snapshot scenario does not match the trace".to_owned()));
         }
         if (snapshot.cursor as usize) > trace.events.len() {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: format!(
-                    "snapshot cursor {} past the trace's {} events",
-                    snapshot.cursor,
-                    trace.events.len()
-                ),
-            });
+            return Err(invalid(format!(
+                "snapshot cursor {} past the trace's {} events",
+                snapshot.cursor,
+                trace.events.len()
+            )));
         }
+        let scenario = trace.scenario.build()?;
         let n = scenario.instance().num_devices();
-        let priorities = if snapshot.config.priorities.is_empty() {
-            vec![1.0; n]
-        } else if snapshot.config.priorities.len() == n {
-            snapshot.config.priorities.clone()
-        } else {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: "snapshot priorities do not match the scenario".to_owned(),
-            });
-        };
+        let priorities = resolve_priorities(&snapshot.config.priorities, n).map_err(invalid)?;
         if snapshot.wanted.len() != n {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: "snapshot wanted set does not match the scenario".to_owned(),
-            });
+            return Err(invalid("snapshot wanted set does not match the scenario".to_owned()));
         }
-        if snapshot.unreachable.len() != n {
-            return Err(RuntimeError::InvalidSnapshot {
-                reason: "snapshot unreachable set does not match the scenario".to_owned(),
-            });
+        let mut topology = scenario.topology().clone();
+        let links = topology.graph().link_count();
+        if snapshot.link_latency_ms.len() != links {
+            return Err(invalid(format!(
+                "snapshot has {} link latencies for {links} links",
+                snapshot.link_latency_ms.len()
+            )));
         }
-        let maintainer = DelayMaintainer::from_state(&snapshot.topology, snapshot.maintainer)?;
+        for (index, &latency_ms) in snapshot.link_latency_ms.iter().enumerate() {
+            let link = topology.graph().link_id(index);
+            topology.set_link_latency(link, latency_ms).map_err(|e| invalid(e.to_string()))?;
+        }
+        let maintainer = DelayMaintainer::from_state(
+            &topology,
+            &snapshot.config.delay_model,
+            snapshot.maintainer,
+        )?;
         let instance = scenario.instance().with_delays(maintainer.matrix().clone())?;
         let cluster =
             DynamicCluster::from_partial(instance, snapshot.assignment, snapshot.migrations)?;
-        Ok(Runtime {
+        let mut runtime = Runtime {
             config: snapshot.config,
             scenario: snapshot.scenario,
-            topology: snapshot.topology,
+            topology,
             maintainer,
             cluster,
             priorities,
             wanted: snapshot.wanted,
-            unreachable: snapshot.unreachable,
+            unreachable: vec![false; n],
             cursor: snapshot.cursor,
             metrics: RuntimeMetrics { core: snapshot.metrics, ..RuntimeMetrics::default() },
-        })
+        };
+        runtime.unreachable = (0..n).map(|device| runtime.stranded(device)).collect();
+        Ok(runtime)
     }
+}
+
+/// The per-device priorities `configured` asks for over `n` devices:
+/// all `1.0` when empty, otherwise exactly `n` finite positive values.
+fn resolve_priorities(configured: &[f64], n: usize) -> Result<Vec<f64>, String> {
+    if configured.is_empty() {
+        return Ok(vec![1.0; n]);
+    }
+    if configured.len() != n {
+        return Err(format!("{} priorities for {n} devices", configured.len()));
+    }
+    if configured.iter().any(|p| !p.is_finite() || *p <= 0.0) {
+        return Err("priorities must be finite and positive".to_owned());
+    }
+    Ok(configured.to_vec())
 }
 
 #[cfg(test)]

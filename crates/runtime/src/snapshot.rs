@@ -1,42 +1,43 @@
 //! Serializable runtime state.
 //!
-//! A [`RuntimeSnapshot`] captures everything [`crate::Runtime`] needs to
-//! resume a trace replay bit-for-bit: the configuration, the drifted
-//! topology, the delay-maintenance state, the assignment, the
-//! degradation sets (wanted and unreachable devices), and the
-//! deterministic metrics. Demands and capacities are deliberately *not*
-//! stored — they never change, so the restore path re-derives them from
-//! the trace's scenario.
+//! A [`RuntimeSnapshot`] stores only what the trace cannot regenerate,
+//! and [`crate::Runtime::restore`] is the one place that rebuilds and
+//! checks the rest. Stored:
 //!
-//! A snapshot stores state, not caches. Of the delay maintenance it
-//! keeps the [`MaintainerState`]: the delay model, the per-link base
-//! costs and disable counts, the failed servers, the rebuild baseline,
-//! and each server's tree as its source and parent links. Restore
-//! re-derives the rest with [`crate::DelayMaintainer::from_state`]:
+//! - the trace scenario and the runtime configuration;
+//! - every link's current latency, `link_latency_ms`, in link order (the
+//!   generated latencies with all applied drifts);
+//! - the [`MaintainerState`]: each server's shortest-path tree as its
+//!   parent links, the failed servers and the rebuild baseline;
+//! - the assignment, the wanted set, the migration counter, the cursor
+//!   and the deterministic metrics.
 //!
-//! - the effective link costs, `base_costs` with disabled links at `∞`;
-//! - each tree's distances, from the invariant every tree operation
-//!   keeps: `dist[v] == dist[parent(v)] + costs[parent_link[v]]`, the
-//!   very sum written together with the link, so the rebuilt distances
-//!   are bitwise equal (and are checked against a fresh
-//!   [`tacc_topology::incremental::SsspTree::build`]);
-//! - the device × server delay matrix, read out of the trees.
+//! Restore re-derives everything else from the trace's scenario:
+//!
+//! - the topology, by building the scenario and applying each stored
+//!   latency with [`tacc_topology::Topology::set_link_latency`] (which
+//!   rejects NaN, ∞ and negative values);
+//! - demands and capacities, which never change;
+//! - through [`crate::DelayMaintainer::from_state`], the link costs under
+//!   `config.delay_model`, the per-link disable counts from the failed
+//!   servers, each tree's distances and the delay matrix. The distances
+//!   come from the invariant every tree operation keeps: `dist[v] ==
+//!   dist[parent(v)] + costs[parent_link[v]]`, the very sum written
+//!   together with the link, so they are bitwise equal (and are checked
+//!   against a fresh [`tacc_topology::incremental::SsspTree::build`]);
+//! - the unreachable set, with the rule the runtime applies after every
+//!   event (wanted, unassigned, no alive server at finite delay).
 //!
 //! The parent links are state: after repairs a tree's tie-broken shape
 //! can differ from a fresh build's, and it decides which subtree the
-//! next repair invalidates. The serde layer ignores unknown fields, so
-//! snapshots that still carry the derived `costs`, `dist` and `matrix`
-//! parse and restore unchanged.
+//! next repair invalidates.
 //!
-//! Format version 2 adds the trace scenario (so restore can reject a
-//! snapshot replayed against the wrong trace) and the unreachable set
-//! (partition/degradation state). Version-1 snapshots are rejected with
-//! a typed error naming both versions.
+//! This build reads and writes format version 3 only. Snapshots of any
+//! other version are rejected with a typed error naming both versions.
 
 use serde::{Deserialize, Serialize};
 use serde_json::Value;
 use tacc_gap::Assignment;
-use tacc_topology::Topology;
 use tacc_workload::TraceScenario;
 
 use crate::maintainer::MaintainerState;
@@ -50,27 +51,23 @@ use crate::RuntimeError;
 pub struct RuntimeSnapshot {
     /// Snapshot format version; restore rejects other versions.
     pub version: u32,
-    /// The trace scenario the runtime was built from, when known
-    /// (`None` for runtimes constructed directly over a [`tacc_workload::Scenario`]).
-    /// Restore rejects a snapshot whose scenario disagrees with the
-    /// trace it is replayed against.
-    pub scenario: Option<TraceScenario>,
+    /// The trace scenario the runtime was built from. Restore rejects a
+    /// snapshot whose scenario disagrees with the trace it is replayed
+    /// against.
+    pub scenario: TraceScenario,
     /// The runtime's configuration, restored verbatim.
     pub config: RuntimeConfig,
-    /// The topology including all applied latency drifts.
-    pub topology: Topology,
-    /// Delay-maintenance state: tree parent links, base link costs,
-    /// link disable refcounts, failed servers and the savings baseline.
+    /// Every link's current latency in milliseconds, in link order: the
+    /// scenario's generated latencies with all applied drifts.
+    pub link_latency_ms: Vec<f64>,
+    /// Delay-maintenance state: tree parent links, failed servers and
+    /// the savings baseline.
     pub maintainer: MaintainerState,
     /// The device → server assignment at the snapshot point.
     pub assignment: Assignment,
     /// Which devices want service (shed and unreachable devices stay
     /// wanted and are re-admitted when capacity or connectivity return).
     pub wanted: Vec<bool>,
-    /// Which wanted-but-unassigned devices currently have no alive
-    /// server at finite delay (partitioned away, as opposed to shed for
-    /// capacity).
-    pub unreachable: Vec<bool>,
     /// The cluster's internal migration counter (kept so
     /// `DynamicCluster::migrations` stays continuous across a restore).
     pub migrations: u64,
@@ -83,7 +80,7 @@ pub struct RuntimeSnapshot {
 
 impl RuntimeSnapshot {
     /// The snapshot format this build writes and reads.
-    pub const FORMAT_VERSION: u32 = 2;
+    pub const FORMAT_VERSION: u32 = 3;
 
     /// Serializes the snapshot to deterministic, pretty-printed JSON.
     pub fn to_json(&self) -> String {
@@ -131,19 +128,20 @@ mod tests {
 
     #[test]
     fn version_mismatch_is_diagnosed_before_shape() {
-        // A version-1 snapshot lacks the v2 fields; the version check
-        // must fire first and name both versions.
-        let err = RuntimeSnapshot::from_json(r#"{"version": 1, "cursor": 3}"#).unwrap_err();
+        // A version-2 snapshot carries a topology and lacks the v3
+        // fields; the version check must fire first and name both
+        // versions.
+        let err = RuntimeSnapshot::from_json(r#"{"version": 2, "cursor": 3}"#).unwrap_err();
         let RuntimeError::InvalidSnapshot { reason } = &err else {
             panic!("expected InvalidSnapshot, got {err:?}");
         };
-        assert!(reason.contains("version 1"), "got: {reason}");
-        assert!(reason.contains("reads 2"), "got: {reason}");
+        assert!(reason.contains("version 2"), "got: {reason}");
+        assert!(reason.contains("reads 3"), "got: {reason}");
     }
 
     #[test]
     fn shape_mismatch_is_a_typed_error() {
-        let err = RuntimeSnapshot::from_json(r#"{"version": 2}"#).unwrap_err();
+        let err = RuntimeSnapshot::from_json(r#"{"version": 3}"#).unwrap_err();
         assert!(matches!(err, RuntimeError::InvalidSnapshot { .. }));
     }
 }

@@ -1,12 +1,13 @@
 //! Adversarial regression tests for the runtime: hand-written traces
 //! that fail the last alive server, snapshot/restore under in-flight
-//! degradation, snapshots written before the derived delay state left
-//! the format, and the typed-error contract on every malformed-input
-//! path (no panics, ever).
+//! degradation, a committed snapshot taken mid-failure, and the
+//! typed-error contract on every malformed-input path (no panics, ever).
 
 use std::path::PathBuf;
 
+use serde_json::Value;
 use tacc_runtime::{DeviceState, Runtime, RuntimeConfig, RuntimeError, RuntimeSnapshot};
+use tacc_topology::Topology;
 use tacc_workload::{TimedEvent, Trace, TraceEvent, TraceScenario};
 
 fn scenario() -> TraceScenario {
@@ -143,10 +144,16 @@ fn snapshot_restore_preserves_in_flight_degradation_byte_identically() {
     resumed.run(&trace).unwrap();
     assert_eq!(whole.snapshot(), resumed.snapshot());
     assert_eq!(whole.maintainer(), resumed.maintainer(), "derived delay state too");
+    assert_eq!(whole.topology(), resumed.topology(), "and the rebuilt topology");
+    assert_eq!(unreachable_set(&whole), unreachable_set(&resumed));
     assert_eq!(
         serde_json::to_string(&whole.report_json(false)).unwrap(),
         serde_json::to_string(&resumed.report_json(false)).unwrap()
     );
+}
+
+fn unreachable_set(rt: &Runtime) -> Vec<bool> {
+    (0..rt.cluster().instance().num_devices()).map(|d| rt.is_unreachable(d)).collect()
 }
 
 fn fixture(name: &str) -> String {
@@ -155,18 +162,13 @@ fn fixture(name: &str) -> String {
 }
 
 #[test]
-fn a_snapshot_carrying_derived_delay_state_restores_exactly() {
-    // Written by a build that still journaled the effective link costs,
-    // every tree's distances and the delay matrix, after drifts and two
-    // server failures (20 × 4, cut at event 10). Those fields are now
-    // ignored and re-derived; the resumed run must end exactly where an
-    // uninterrupted one does.
+fn a_committed_snapshot_taken_mid_failure_restores_exactly() {
+    // Event 10 of the 20 × 4 trace, after drifts and two server
+    // failures: the stored latencies and parent links must rebuild the
+    // topology and the delay state, and the resumed run must end exactly
+    // where an uninterrupted one does.
     let trace = Trace::from_json(&fixture("trace-20x4.json")).unwrap();
-    let text = fixture("snapshot-fat-v2-20x4.json");
-    for key in ["\"costs\"", "\"matrix\"", "\"dist\""] {
-        assert!(text.contains(key), "the fixture carries {key}");
-    }
-    let snapshot = RuntimeSnapshot::from_json(&text).unwrap();
+    let snapshot = RuntimeSnapshot::from_json(&fixture("snapshot-v3-20x4.json")).unwrap();
     assert_eq!(snapshot.version, RuntimeSnapshot::FORMAT_VERSION);
     assert_eq!(snapshot.cursor, 10);
     assert!(snapshot.maintainer.failed.iter().any(|&f| f), "mid-failure");
@@ -180,6 +182,8 @@ fn a_snapshot_carrying_derived_delay_state_restores_exactly() {
     }
     assert_eq!(prefix.snapshot(), snapshot, "the fixture is this build's state at event 10");
     assert_eq!(prefix.maintainer(), resumed.maintainer());
+    assert_eq!(prefix.topology(), resumed.topology());
+    assert_eq!(unreachable_set(&prefix), unreachable_set(&resumed));
 
     resumed.run(&trace).unwrap();
     let mut whole = Runtime::from_trace(&trace, config).unwrap();
@@ -200,73 +204,121 @@ fn snapshots_store_no_derived_delay_state() {
         rt.step(index, &trace.events[index]).unwrap();
     }
     let json = rt.snapshot().to_json();
-    for key in ["\"costs\"", "\"matrix\"", "\"dist\""] {
-        assert!(!json.contains(key), "snapshot JSON carries derived {key}");
+    for key in [
+        "costs",
+        "matrix",
+        "dist",
+        "topology",
+        "base_costs",
+        "disabled",
+        "model",
+        "source",
+        "unreachable",
+    ] {
+        assert!(!json.contains(&format!("\"{key}\"")), "snapshot JSON carries derived {key}");
     }
-    assert!(json.contains("\"parent_link\""));
+    let keys = |value: &Value| match value {
+        Value::Object(fields) => fields.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+        other => panic!("expected an object, got {other:?}"),
+    };
+    let value: Value = serde_json::from_str(&json).unwrap();
+    assert_eq!(
+        keys(&value),
+        [
+            "version",
+            "scenario",
+            "config",
+            "link_latency_ms",
+            "maintainer",
+            "assignment",
+            "wanted",
+            "migrations",
+            "cursor",
+            "metrics"
+        ]
+    );
+    assert_eq!(keys(value.get("maintainer").unwrap()), ["trees", "failed", "baseline"]);
 }
 
 // --- Typed-error contract: malformed inputs never panic. -----------------
 
 /// A snapshot of the outage trace after its first event (server 0 down),
-/// with `edit` applied to it; returns the restore error's reason.
-fn restore_edited(edit: impl FnOnce(&mut RuntimeSnapshot)) -> String {
+/// with `edit` applied to it (given the runtime's topology); returns the
+/// restore error's reason.
+fn restore_edited(edit: impl FnOnce(&mut RuntimeSnapshot, &Topology)) -> String {
     let trace = total_outage_trace();
     let mut rt = Runtime::from_trace(&trace, RuntimeConfig::default()).unwrap();
     rt.step(0, &trace.events[0]).unwrap();
     let mut snapshot = rt.snapshot();
-    edit(&mut snapshot);
+    edit(&mut snapshot, rt.topology());
     match Runtime::restore(snapshot, &trace) {
         Err(RuntimeError::InvalidSnapshot { reason }) => reason,
         Err(other) => panic!("expected InvalidSnapshot, got {other:?}"),
-        Ok(_) => panic!("a malformed maintainer restored"),
+        Ok(_) => panic!("a malformed snapshot restored"),
     }
 }
 
 #[test]
 fn short_maintainer_vectors_are_typed_errors() {
-    let reason = restore_edited(|s| {
+    let reason = restore_edited(|s, _| {
         s.maintainer.failed.pop();
     });
     assert!(reason.contains("failed has 2 entries, expected 3"), "got: {reason}");
-    let reason = restore_edited(|s| s.maintainer.trees.truncate(1));
+    let reason = restore_edited(|s, _| s.maintainer.trees.truncate(1));
     assert!(reason.contains("trees has 1 entries, expected 3"), "got: {reason}");
-    let reason = restore_edited(|s| s.maintainer.base_costs.truncate(4));
-    assert!(reason.contains("base_costs has 4 entries"), "got: {reason}");
+    let reason = restore_edited(|s, _| s.link_latency_ms.truncate(4));
+    assert!(reason.contains("has 4 link latencies for"), "got: {reason}");
 }
 
 #[test]
 fn cyclic_parent_links_are_a_typed_error() {
-    let reason = restore_edited(|s| {
+    let reason = restore_edited(|s, topology| {
         // Point both ends of a link away from the source at each other.
-        let graph = s.topology.graph();
+        let (graph, source) = (topology.graph(), topology.server_nodes()[1]);
         let tree = &mut s.maintainer.trees[1];
         let (link, a, b) = (0..graph.link_count())
             .map(|i| graph.link_id(i))
             .map(|id| (id, graph.link(id).a(), graph.link(id).b()))
-            .find(|&(_, a, b)| a != tree.source && b != tree.source)
+            .find(|&(_, a, b)| a != source && b != source)
             .expect("a link off the source");
-        tree.parent_link[a.index()] = Some(link);
-        tree.parent_link[b.index()] = Some(link);
+        tree[a.index()] = Some(link);
+        tree[b.index()] = Some(link);
     });
     assert!(reason.contains("tree 1") && reason.contains("cycle"), "got: {reason}");
 }
 
 #[test]
 fn non_incident_parent_links_are_a_typed_error() {
-    let reason = restore_edited(|s| {
-        let graph = s.topology.graph();
+    let reason = restore_edited(|s, topology| {
+        let graph = topology.graph();
         let tree = &mut s.maintainer.trees[2];
-        let node = (0..tree.parent_link.len())
-            .find(|&v| tree.parent_link[v].is_some())
-            .expect("a reached node");
+        let node = (0..tree.len()).find(|&v| tree[v].is_some()).expect("a reached node");
         let stranger = (0..graph.link_count())
             .map(|i| graph.link_id(i))
             .find(|&id| graph.link(id).a().index() != node && graph.link(id).b().index() != node)
             .expect("a link elsewhere");
-        tree.parent_link[node] = Some(stranger);
+        tree[node] = Some(stranger);
     });
     assert!(reason.contains("tree 2") && reason.contains("does not lead"), "got: {reason}");
+}
+
+#[test]
+fn non_finite_or_negative_link_latencies_are_typed_errors() {
+    for bad in [f64::NAN, f64::INFINITY, -1.0] {
+        let reason = restore_edited(|s, _| s.link_latency_ms[3] = bad);
+        assert!(reason.contains("latency"), "{bad}: {reason}");
+    }
+}
+
+#[test]
+fn restored_priorities_must_be_finite_and_positive() {
+    for bad in [0.0, -1.0] {
+        let reason = restore_edited(|s, _| {
+            s.config.priorities = vec![1.0; 18];
+            s.config.priorities[4] = bad;
+        });
+        assert!(reason.contains("priorities must be finite and positive"), "{bad}: {reason}");
+    }
 }
 
 #[test]
@@ -278,9 +330,9 @@ fn malformed_snapshot_json_is_a_typed_error() {
 
 #[test]
 fn old_snapshot_version_is_diagnosed_by_version_not_shape() {
-    let err = RuntimeSnapshot::from_json("{\"version\": 1}").unwrap_err();
+    let err = RuntimeSnapshot::from_json("{\"version\": 2}").unwrap_err();
     let RuntimeError::InvalidSnapshot { reason } = &err else { panic!("got {err:?}") };
-    assert!(reason.contains("version 1"), "got: {reason}");
+    assert!(reason.contains("version 2") && reason.contains("reads 3"), "got: {reason}");
     assert!(!reason.contains("missing field"), "version check fires before shape: {reason}");
 }
 
@@ -329,17 +381,17 @@ fn snapshot_cursor_past_the_trace_is_a_typed_error() {
 
 #[test]
 fn invariant_violations_are_typed_not_panics() {
-    // Hand-corrupt a snapshot's unreachable set so the restored runtime
-    // fails conservation — check_invariants must return the typed error.
+    // Hand-corrupt a snapshot's wanted set so the restored runtime
+    // fails conservation (an assigned device that departed) —
+    // check_invariants must return the typed error.
     let trace = total_outage_trace();
     let mut rt = Runtime::from_trace(&trace, RuntimeConfig::default()).unwrap();
-    for index in 0..3 {
-        rt.step(index, &trace.events[index]).unwrap();
-    }
+    rt.step(0, &trace.events[0]).unwrap();
     let mut snapshot = rt.snapshot();
-    snapshot.unreachable[0] = false; // device 0 is in fact unreachable
+    let device = (0..18).find(|&d| rt.cluster().is_active(d)).expect("an assigned device");
+    snapshot.wanted[device] = false;
     let corrupted = Runtime::restore(snapshot, &trace).unwrap();
     let err = corrupted.check_invariants(false).unwrap_err();
     let RuntimeError::Invariant { reason, .. } = &err else { panic!("got {err:?}") };
-    assert!(reason.contains("unreachable flag"), "got: {reason}");
+    assert!(reason.contains("assigned but departed"), "got: {reason}");
 }

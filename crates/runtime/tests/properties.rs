@@ -82,8 +82,13 @@ proptest! {
 
         prop_assert_eq!(deterministic_report(&whole), deterministic_report(&resumed));
         prop_assert_eq!(whole.snapshot(), resumed.snapshot());
-        // The snapshot holds no derived delay state; compare that too.
+        // The snapshot holds no derived state; compare that too.
         prop_assert_eq!(whole.maintainer(), resumed.maintainer());
+        prop_assert_eq!(whole.topology(), resumed.topology());
+        let n = whole.cluster().instance().num_devices();
+        for d in 0..n {
+            prop_assert_eq!(whole.is_unreachable(d), resumed.is_unreachable(d), "device {}", d);
+        }
     }
 
     /// Traces are stable under JSON round trips.

@@ -287,7 +287,8 @@ impl Session {
                 return Ok(ack.clone());
             }
         }
-        if let Err(reason) = self.validate_burst(&events) {
+        let last_ms = self.trace.events.last().map_or(0.0, |t| t.time_ms);
+        if let Err(reason) = self.trace.scenario.validate_events(last_ms, &events) {
             return Ok(Response::Error { code: ErrorCode::BadRequest, message: reason });
         }
         let pending = self.pending();
@@ -769,49 +770,6 @@ impl Session {
             stream
                 .finish(&tacc_obs::registry_snapshot())
                 .map_err(|e| ServeError::io("finishing obs stream", &e))?;
-        }
-        Ok(())
-    }
-
-    /// Validates a burst against the scenario and the session timeline
-    /// (the same structural rules as [`Trace::validate`], applied
-    /// incrementally), without touching state.
-    fn validate_burst(&self, events: &[TimedEvent]) -> Result<(), String> {
-        let mut last = self.trace.events.last().map_or(0.0, |t| t.time_ms);
-        for (i, timed) in events.iter().enumerate() {
-            let t = timed.time_ms;
-            if !t.is_finite() || t < 0.0 {
-                return Err(format!("event {i}: time {t} is not finite and non-negative"));
-            }
-            if t < last {
-                return Err(format!("event {i}: time {t} goes backwards (previous {last})"));
-            }
-            last = t;
-            match timed.event {
-                TraceEvent::DeviceJoin { device } | TraceEvent::DeviceLeave { device } => {
-                    if device >= self.trace.scenario.num_iot {
-                        return Err(format!(
-                            "event {i}: device {device} out of range ({})",
-                            self.trace.scenario.num_iot
-                        ));
-                    }
-                }
-                TraceEvent::ServerFail { server } | TraceEvent::ServerRecover { server } => {
-                    if server >= self.trace.scenario.num_servers {
-                        return Err(format!(
-                            "event {i}: server {server} out of range ({})",
-                            self.trace.scenario.num_servers
-                        ));
-                    }
-                }
-                TraceEvent::LinkLatencyDrift { latency_ms, .. } => {
-                    if !latency_ms.is_finite() || latency_ms < 0.0 {
-                        return Err(format!(
-                            "event {i}: drift latency {latency_ms} is not finite and non-negative"
-                        ));
-                    }
-                }
-            }
         }
         Ok(())
     }

@@ -86,7 +86,7 @@ impl Point {
 }
 
 /// A node of the network graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Node {
     kind: NodeKind,
     position: Option<Point>,
@@ -105,7 +105,7 @@ impl Node {
 }
 
 /// An undirected network link with a propagation latency and a bandwidth.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Link {
     a: NodeId,
     b: NodeId,
@@ -151,7 +151,7 @@ impl Link {
 }
 
 /// An adjacency entry: the neighbouring node and the link that reaches it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct Neighbor {
     /// The adjacent node.
     pub node: NodeId,
@@ -179,7 +179,7 @@ pub struct Neighbor {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize)]
 pub struct Graph {
     nodes: Vec<Node>,
     links: Vec<Link>,

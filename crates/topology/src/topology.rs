@@ -1,4 +1,4 @@
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::compress::CompressedCore;
 use crate::csr::SsspScratch;
@@ -13,7 +13,7 @@ use crate::{DelayMatrix, DelayModel, Graph, NodeId, NodeKind, TopologyError};
 ///
 /// Construct one either from a hand-built [`Graph`] via [`Topology::new`]
 /// or through one of the seeded families in [`crate::generators`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Topology {
     graph: Graph,
     iot: Vec<NodeId>,

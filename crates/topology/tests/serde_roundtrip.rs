@@ -1,9 +1,10 @@
-//! Serialization round-trips: a deployed configuration must be able to
-//! persist its topology and delay matrix and reload them bit-for-bit.
+//! Serialization round-trips: a delay matrix and a delay model must
+//! reload bit-for-bit. Topologies are not deserialized; they are rebuilt
+//! from their seeded generators.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use tacc_topology::generators::{HierarchicalTree, RandomGeometric, TopologyGenerator};
+use tacc_topology::generators::{RandomGeometric, TopologyGenerator};
 use tacc_topology::{DelayMatrix, DelayModel, Topology};
 
 fn sample_topology() -> Topology {
@@ -16,17 +17,6 @@ fn sample_topology() -> Topology {
         .unwrap()
         .generate(&mut rng)
         .unwrap()
-}
-
-#[test]
-fn topology_json_roundtrip_is_lossless() {
-    let topo = sample_topology();
-    let json = serde_json::to_string(&topo).expect("serialize");
-    let back: Topology = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(topo, back);
-    // Derived products agree too.
-    let model = DelayModel::default();
-    assert_eq!(topo.delay_matrix(&model), back.delay_matrix(&model));
 }
 
 #[test]
@@ -43,19 +33,4 @@ fn delay_model_json_roundtrip_is_lossless() {
     let json = serde_json::to_string(&model).expect("serialize");
     let back: DelayModel = serde_json::from_str(&json).expect("deserialize");
     assert_eq!(model, back);
-}
-
-#[test]
-fn roundtrip_works_across_generator_families() {
-    let mut rng = ChaCha8Rng::seed_from_u64(9);
-    let topo = HierarchicalTree::builder()
-        .num_iot(12)
-        .num_servers(2)
-        .build()
-        .unwrap()
-        .generate(&mut rng)
-        .unwrap();
-    let json = serde_json::to_string(&topo).expect("serialize");
-    let back: Topology = serde_json::from_str(&json).expect("deserialize");
-    assert_eq!(topo, back);
 }

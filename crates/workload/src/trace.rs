@@ -125,6 +125,57 @@ impl TraceScenario {
             .load_factor(self.load_factor)
             .build(self.seed)
     }
+
+    /// The per-event rule of a trace acting on this scenario, applied to
+    /// `events` that follow an event at `start_ms`: finite, non-negative,
+    /// non-decreasing times, device and server indices within the
+    /// scenario's ranges, and finite non-negative drift latencies. Link
+    /// indices can only be checked against the materialized topology,
+    /// which the replaying runtime does.
+    ///
+    /// # Errors
+    ///
+    /// Names the first violation, by the event's index in `events`.
+    pub fn validate_events(&self, start_ms: f64, events: &[TimedEvent]) -> Result<(), String> {
+        let mut last = start_ms;
+        for (idx, timed) in events.iter().enumerate() {
+            let t = timed.time_ms;
+            if !t.is_finite() || t < 0.0 {
+                return Err(format!("event {idx}: time {t} is not finite and non-negative"));
+            }
+            if t < last {
+                return Err(format!("event {idx}: time {t} goes backwards (previous {last})"));
+            }
+            last = t;
+            match timed.event {
+                TraceEvent::DeviceJoin { device } | TraceEvent::DeviceLeave { device } => {
+                    if device >= self.num_iot {
+                        return Err(format!(
+                            "event {idx}: device {device} out of range ({})",
+                            self.num_iot
+                        ));
+                    }
+                }
+                TraceEvent::ServerFail { server } | TraceEvent::ServerRecover { server } => {
+                    if server >= self.num_servers {
+                        return Err(format!(
+                            "event {idx}: server {server} out of range ({})",
+                            self.num_servers
+                        ));
+                    }
+                }
+                TraceEvent::LinkLatencyDrift { latency_ms, .. } => {
+                    if !latency_ms.is_finite() || latency_ms < 0.0 {
+                        return Err(format!(
+                            "event {idx}: drift latency {latency_ms} is not finite and \
+                             non-negative"
+                        ));
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A replayable online-reconfiguration experiment input.
@@ -142,11 +193,8 @@ impl Trace {
     /// The trace JSON format version this crate reads and writes.
     pub const FORMAT_VERSION: u32 = 1;
 
-    /// Structural validation: format version, finite non-decreasing
-    /// times, device/server indices within the scenario's ranges, finite
-    /// non-negative drift latencies. Link indices can only be checked
-    /// against the materialized topology, which the replaying runtime
-    /// does.
+    /// Structural validation: the format version, then every event under
+    /// [`TraceScenario::validate_events`] from time `0`.
     ///
     /// # Errors
     ///
@@ -160,44 +208,9 @@ impl Trace {
                 Trace::FORMAT_VERSION
             ));
         }
-        let mut last = 0.0f64;
-        for (idx, timed) in self.events.iter().enumerate() {
-            let t = timed.time_ms;
-            if !t.is_finite() || t < 0.0 {
-                return invalid(format!("event {idx}: time {t} is not finite and non-negative"));
-            }
-            if t < last {
-                return invalid(format!("event {idx}: time {t} goes backwards (previous {last})"));
-            }
-            last = t;
-            match timed.event {
-                TraceEvent::DeviceJoin { device } | TraceEvent::DeviceLeave { device } => {
-                    if device >= self.scenario.num_iot {
-                        return invalid(format!(
-                            "event {idx}: device {device} out of range ({})",
-                            self.scenario.num_iot
-                        ));
-                    }
-                }
-                TraceEvent::ServerFail { server } | TraceEvent::ServerRecover { server } => {
-                    if server >= self.scenario.num_servers {
-                        return invalid(format!(
-                            "event {idx}: server {server} out of range ({})",
-                            self.scenario.num_servers
-                        ));
-                    }
-                }
-                TraceEvent::LinkLatencyDrift { latency_ms, .. } => {
-                    if !latency_ms.is_finite() || latency_ms < 0.0 {
-                        return invalid(format!(
-                            "event {idx}: drift latency {latency_ms} is not finite and \
-                             non-negative"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(())
+        self.scenario
+            .validate_events(0.0, &self.events)
+            .map_err(|reason| WorkloadError::InvalidConfig { reason })
     }
 
     /// Serializes to the pretty-printed JSON trace format.
