@@ -86,8 +86,9 @@ fn bench_reports_keep_their_schema() {
 }
 
 /// Runs the real `tacc` binary (observability on) and returns the
-/// parsed records of the stream it wrote. A subprocess keeps the
-/// process-global obs switch out of this test runner.
+/// parsed records of the stream it wrote. A subprocess, because the
+/// schema that matters is the one the shipped binary writes, with
+/// `TACC_OBS` read from its environment.
 fn stream_records(dir: &Path, subcommand: &str, extra: &[&str]) -> Vec<Value> {
     let out_path = dir.join(format!("{subcommand}.jsonl"));
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_tacc"));

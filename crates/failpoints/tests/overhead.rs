@@ -3,8 +3,10 @@
 //! early return. This test times a tight probe loop and bounds the
 //! per-probe cost in nanoseconds, mirroring the obs off-state gate.
 //!
-//! Lives in its own integration binary because arming is process-global:
-//! the in-crate unit test exercises arming, this binary never arms.
+//! Lives in its own integration binary because failpoint arming is still
+//! process-global (observability is thread-scoped and needs no such
+//! care): the in-crate unit test exercises arming, this binary never
+//! arms.
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -10,8 +10,9 @@
 //! - **no acked state lost** — a restart from *either* surviving journal
 //!   completes the workload to the byte-identical reference snapshot.
 //!
-//! Failpoint arming is process-global, so this is a single `#[test]` in
-//! its own integration binary — nothing else may run beside it.
+//! Failpoint arming is process-global (unlike observability, which is
+//! scoped to the recording thread), so this is a single `#[test]` in its
+//! own integration binary — nothing else may run beside it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};

@@ -1,5 +1,5 @@
 //! The metric registry: named counters, gauges and fixed-bucket
-//! histograms behind one process-wide lock, plus point-in-time
+//! histograms behind one lock per obs scope, plus point-in-time
 //! snapshots with diffing and deterministic export.
 //!
 //! Metric names are `&'static str` by design — the hot paths never
@@ -9,7 +9,7 @@
 //! one canonical order and renders byte-deterministically.
 
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Duration;
 
 use serde_json::Value;
@@ -90,6 +90,16 @@ impl FixedHistogram {
         1u64 << HISTOGRAM_BUCKETS
     }
 
+    /// Adds `other`'s observations, bucket-wise.
+    fn merge(&mut self, other: &FixedHistogram) {
+        for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+            *b += o;
+        }
+        self.count += other.count;
+        self.sum = self.sum.saturating_add(other.sum);
+        self.max = self.max.max(other.max);
+    }
+
     /// The histogram with `earlier`'s observations subtracted —
     /// bucket-wise, saturating, with `max` kept from `self` (a maximum
     /// cannot be un-seen).
@@ -160,22 +170,17 @@ impl MetricValue {
     }
 }
 
-/// The process-wide metric store. All workspace crates record through
-/// the free functions in the crate root ([`crate::counter_add`] & co.),
-/// which consult [`crate::enabled`] *before* touching the lock — a
-/// disabled build never contends here.
+/// One metric store; every obs [`crate::Scope`] owns one. All workspace
+/// crates record through the free functions in the crate root
+/// ([`crate::counter_add`] & co.), which consult the calling thread's
+/// switch *before* touching the lock — a disabled build never contends
+/// here.
 #[derive(Debug, Default)]
 pub struct Registry {
     metrics: Mutex<BTreeMap<&'static str, MetricValue>>,
 }
 
 impl Registry {
-    /// The global registry.
-    pub fn global() -> &'static Registry {
-        static GLOBAL: OnceLock<Registry> = OnceLock::new();
-        GLOBAL.get_or_init(Registry::default)
-    }
-
     /// Adds `n` to a counter, creating it at zero first.
     ///
     /// # Panics
@@ -241,6 +246,33 @@ impl Registry {
     /// Removes every metric.
     pub fn clear(&self) {
         self.metrics.lock().expect("registry lock").clear();
+    }
+
+    /// Records everything `other` holds into this registry, as if it had
+    /// been recorded here after what this registry already holds:
+    /// counters and histograms add up, gauges take `other`'s reading.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a name is registered as different kinds in the two.
+    pub(crate) fn absorb(&self, other: &Registry) {
+        let other = other.metrics.lock().expect("registry lock").clone();
+        let mut metrics = self.metrics.lock().expect("registry lock");
+        for (name, value) in other {
+            let Some(mine) = metrics.get_mut(name) else {
+                metrics.insert(name, value);
+                continue;
+            };
+            match (mine, value) {
+                (MetricValue::Counter(c), MetricValue::Counter(o)) => *c += o,
+                (MetricValue::Gauge(g), MetricValue::Gauge(o)) => *g = o,
+                (MetricValue::ValueHistogram(h), MetricValue::ValueHistogram(o))
+                | (MetricValue::TimeHistogram(h), MetricValue::TimeHistogram(o)) => h.merge(&o),
+                (mine, theirs) => {
+                    panic!("metric `{name}` is a {} here and a {}", mine.kind(), theirs.kind())
+                }
+            }
+        }
     }
 }
 
@@ -445,6 +477,26 @@ mod tests {
         assert_eq!(snap.len(), 4);
         registry.clear();
         assert!(registry.snapshot().is_empty());
+    }
+
+    #[test]
+    fn absorb_adds_counters_and_histograms_and_takes_gauges() {
+        let parent = Registry::default();
+        parent.counter_add("n", 2);
+        parent.gauge_set("g", 1.0);
+        parent.observe("h", 3);
+        let child = Registry::default();
+        child.counter_add("n", 5);
+        child.gauge_set("g", 7.0);
+        child.observe("h", 1000);
+        child.observe_time("t", Duration::from_nanos(40));
+        parent.absorb(&child);
+        let snap = parent.snapshot();
+        assert_eq!(snap.counter("n"), Some(7));
+        assert_eq!(snap.gauge("g"), Some(7.0));
+        let h = snap.histogram("h").unwrap();
+        assert_eq!((h.count(), h.sum(), h.max()), (2, 1003, 1000));
+        assert_eq!(snap.histogram("t").map(FixedHistogram::count), Some(1));
     }
 
     #[test]

@@ -3,23 +3,24 @@
 //! [`SpanGuard::enter`] (via the [`crate::span!`] macro) pushes a
 //! `&'static str` phase name onto a thread-local stack and starts a
 //! clock; dropping the guard pops the stack and folds the elapsed time
-//! into a process-wide table keyed by the full phase *path* (stack
-//! names joined with `/`). Nested spans therefore build a tree —
+//! into the calling thread's obs scope ([`crate::Scope`]), whose profile
+//! table is keyed by the full phase *path* (stack names joined with
+//! `/`). Nested spans therefore build a tree —
 //! `runtime.step/runtime.apply/runtime.repair` — and a parent's total
 //! includes its children (the renderer derives self-time).
 //!
 //! Spans opened on worker threads (the `tacc-par` pool) start from that
-//! thread's empty stack and appear as their own roots; cross-thread
-//! nesting is deliberately not modelled — the aggregate per-phase totals
-//! are what the profile is for.
+//! thread's empty stack and appear as their own roots in the caller's
+//! profile; cross-thread nesting is deliberately not modelled — the
+//! aggregate per-phase totals are what the profile is for.
 //!
 //! When [`crate::enabled`] is false, `enter` returns an inert guard
-//! without reading the clock or touching the thread-local: the whole
-//! cost is one atomic load and one branch.
+//! without reading the clock or touching the span stack: the whole cost
+//! is one switch load and one branch.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 use std::time::Instant;
 
 use serde_json::Value;
@@ -54,11 +55,38 @@ impl PhaseStats {
     }
 }
 
-/// path (joined with '/') → stats. BTreeMap keeps lexicographic order,
-/// which conveniently groups children right after their parent.
-fn table() -> &'static Mutex<BTreeMap<String, PhaseStats>> {
-    static TABLE: OnceLock<Mutex<BTreeMap<String, PhaseStats>>> = OnceLock::new();
-    TABLE.get_or_init(|| Mutex::new(BTreeMap::new()))
+/// One scope's profile table: path (joined with '/') → stats. BTreeMap
+/// keeps lexicographic order, which conveniently groups children right
+/// after their parent.
+#[derive(Debug, Default)]
+pub(crate) struct Profile {
+    phases: Mutex<BTreeMap<String, PhaseStats>>,
+}
+
+impl Profile {
+    fn record(&self, path: String, ns: u64) {
+        self.phases.lock().expect("profile lock").entry(path).or_default().record(ns);
+    }
+
+    pub(crate) fn snapshot(&self) -> ProfileSnapshot {
+        ProfileSnapshot { phases: self.phases.lock().expect("profile lock").clone() }
+    }
+
+    pub(crate) fn clear(&self) {
+        self.phases.lock().expect("profile lock").clear();
+    }
+
+    /// Adds `other`'s phase timings into this table.
+    pub(crate) fn absorb(&self, other: &Profile) {
+        let other = other.phases.lock().expect("profile lock").clone();
+        let mut phases = self.phases.lock().expect("profile lock");
+        for (path, theirs) in other {
+            let mine = phases.entry(path).or_default();
+            mine.calls += theirs.calls;
+            mine.total_ns = mine.total_ns.saturating_add(theirs.total_ns);
+            mine.max_ns = mine.max_ns.max(theirs.max_ns);
+        }
+    }
 }
 
 /// An open span; dropping it records the elapsed time. Construct
@@ -71,9 +99,9 @@ pub struct SpanGuard {
 
 impl SpanGuard {
     /// Opens a span named `name` nested under this thread's currently
-    /// open spans. Inert (no clock read, no thread-local access) when
-    /// obs is disabled.
-    #[inline]
+    /// open spans. Inert (no clock read, no span-stack access) when obs
+    /// is disabled.
+    #[inline(always)]
     pub fn enter(name: &'static str) -> SpanGuard {
         if !crate::enabled() {
             return SpanGuard { start: None };
@@ -84,28 +112,24 @@ impl SpanGuard {
 }
 
 impl Drop for SpanGuard {
+    #[inline(always)]
     fn drop(&mut self) {
-        let Some(start) = self.start else { return };
-        let elapsed = start.elapsed();
-        let ns = u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX);
-        let path = STACK.with(|stack| {
-            let mut stack = stack.borrow_mut();
-            let path = stack[..stack.len().min(MAX_DEPTH)].join("/");
-            stack.pop();
-            path
-        });
-        table().lock().expect("profile lock").entry(path).or_default().record(ns);
+        if let Some(start) = self.start {
+            close(start);
+        }
     }
 }
 
-/// Copies the global profile table.
-pub(crate) fn snapshot() -> ProfileSnapshot {
-    ProfileSnapshot { phases: table().lock().expect("profile lock").clone() }
-}
-
-/// Clears the global profile table.
-pub(crate) fn clear() {
-    table().lock().expect("profile lock").clear();
+/// Ends the innermost open span on this thread, started at `start`.
+fn close(start: Instant) {
+    let ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+    let path = STACK.with(|stack| {
+        let mut stack = stack.borrow_mut();
+        let path = stack[..stack.len().min(MAX_DEPTH)].join("/");
+        stack.pop();
+        path
+    });
+    crate::with_sinks(|sinks| sinks.profile.record(path, ns));
 }
 
 /// A point-in-time copy of the aggregated profile tree.

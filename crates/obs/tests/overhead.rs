@@ -1,5 +1,5 @@
 //! The off-state contract, measured: with observability disabled, every
-//! probe is a single relaxed atomic load and an early return. This test
+//! probe is one load of the calling thread's switch and an early return. This test
 //! times a tight loop over all four probe kinds plus a span guard and
 //! bounds the per-probe cost in nanoseconds — the direct form of the
 //! "≤ 1 % overhead when off" budget, without the cross-run noise of

@@ -153,7 +153,11 @@ where
 
 /// The scheduling core: runs `job(0..num_jobs)` on `threads` scoped
 /// workers pulling job indices from an atomic cursor, and returns the
-/// results **indexed by job id** — completion order never shows.
+/// results **indexed by job id** — completion order never shows. The
+/// same holds for observability: each worker takes the caller's obs
+/// switch, each job records into its own fork of the caller's scope, and
+/// the forks are folded back in job order, so metrics and spans recorded
+/// inside `job` end up as a serial run would leave them.
 fn dispatch<R, J>(threads: usize, num_jobs: usize, job: J) -> Vec<R>
 where
     R: Send,
@@ -165,37 +169,41 @@ where
     }
     let _span = tacc_obs::span!("par.dispatch");
     tacc_obs::counter_add("par.dispatches", 1);
-    let obs_on = tacc_obs::enabled();
+    let obs = tacc_obs::Scope::current();
+    let timed = tacc_obs::enabled();
     let cursor = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut slots: Vec<Option<R>> = std::iter::repeat_with(|| None).take(num_jobs).collect();
+    let (tx, rx) = mpsc::channel::<(usize, R, Option<tacc_obs::Scope>)>();
+    let mut slots: Vec<Option<(R, Option<tacc_obs::Scope>)>> =
+        std::iter::repeat_with(|| None).take(num_jobs).collect();
     thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();
-            let cursor = &cursor;
-            let job = &job;
+            let (obs, cursor, job) = (&obs, &cursor, &job);
             scope.spawn(move || {
+                obs.clone().adopt();
                 let mut busy = std::time::Duration::ZERO;
                 loop {
                     let j = cursor.fetch_add(1, Ordering::Relaxed);
                     if j >= num_jobs {
                         break;
                     }
-                    if obs_on {
-                        let started = std::time::Instant::now();
-                        let result = job(j);
-                        busy += started.elapsed();
-                        let _ = tx.send((j, result));
-                    } else {
-                        // The receiver outlives every sender; a failed
-                        // send only happens during unwinding, which the
-                        // scope re-raises anyway.
-                        let _ = tx.send((j, job(j)));
+                    // With obs off nothing is recorded, so no fork is needed.
+                    let fork = timed.then(|| obs.fork());
+                    if let Some(fork) = &fork {
+                        fork.clone().adopt();
                     }
+                    let started = timed.then(std::time::Instant::now);
+                    let result = job(j);
+                    if let Some(started) = started {
+                        busy += started.elapsed();
+                    }
+                    // The receiver outlives every sender; a failed send
+                    // only happens during unwinding, which the scope
+                    // re-raises anyway.
+                    let _ = tx.send((j, result, fork));
                 }
-                if obs_on {
-                    tacc_obs::observe_time("par.worker_busy", busy);
-                }
+                obs.clone().adopt();
+                tacc_obs::observe_time("par.worker_busy", busy);
             });
         }
         drop(tx);
@@ -203,20 +211,63 @@ where
         // dropped its sender — normally or by unwinding. If a worker
         // panicked, the scope re-raises that panic when it closes, so
         // an unfilled slot below is unreachable.
-        let merge_started = obs_on.then(std::time::Instant::now);
-        for (j, result) in rx {
-            slots[j] = Some(result);
+        let merge_started = timed.then(std::time::Instant::now);
+        for (j, result, fork) in rx {
+            slots[j] = Some((result, fork));
         }
         if let Some(started) = merge_started {
             tacc_obs::observe_time("par.merge", started.elapsed());
         }
     });
-    slots.into_iter().map(|slot| slot.expect("every job delivered a result")).collect()
+    slots
+        .into_iter()
+        .map(|slot| {
+            let (result, fork) = slot.expect("every job delivered a result");
+            if let Some(fork) = fork {
+                obs.absorb(&fork);
+            }
+            result
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn worker_metrics_land_in_the_callers_scope_only() {
+        let (done_tx, done_rx) = mpsc::channel::<()>();
+        let sibling = thread::spawn(move || {
+            tacc_obs::set_enabled(true);
+            done_rx.recv().unwrap();
+            tacc_obs::registry_snapshot()
+        });
+        tacc_obs::set_enabled(true);
+        let items: Vec<u64> = (0..64).collect();
+        let out = par_map_with(4, &items, |&x| {
+            if x == 0 {
+                // The first job finishes last.
+                thread::sleep(std::time::Duration::from_millis(5));
+            }
+            tacc_obs::counter_add("par.test.items", 1);
+            tacc_obs::gauge_set("par.test.last", x as f64);
+            x
+        });
+        assert_eq!(out, items);
+        let mine = tacc_obs::registry_snapshot();
+        done_tx.send(()).unwrap();
+        let theirs = sibling.join().unwrap();
+        assert_eq!(mine.counter("par.dispatches"), Some(1), "the pool really ran");
+        assert_eq!(mine.counter("par.test.items"), Some(64));
+        assert_eq!(
+            mine.gauge("par.test.last"),
+            Some(63.0),
+            "gauges end as a serial run leaves them"
+        );
+        assert_eq!(theirs.counter("par.test.items"), None, "a sibling thread saw {theirs:?}");
+        assert!(theirs.is_empty(), "{theirs:?}");
+    }
 
     #[test]
     fn empty_input_yields_empty_output() {
